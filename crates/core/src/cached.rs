@@ -251,13 +251,12 @@ pub fn plan_capacity_cached(
     schedule.validate()?;
     let spec = pipeline_spec_cached(profiler, schedule, Some(cache))?;
     let trace = content.tag(&sizing_trace(target_qps, options));
-    let (replicas, report) = search_min_replicas(&spec, &trace, slo, target_qps, options)?;
-    let usage = &report.merged.cache;
+    let (replicas, score) = search_min_replicas(&spec, &trace, slo, target_qps, options)?;
     Ok(CachedCapacityPlan {
-        plan: build_plan(schedule, replicas, &report, slo, target_qps),
-        prefix_hit_rate: usage.prefix.hit_rate(),
-        retrieval_hit_rate: usage.retrieval.hit_rate(),
-        prefix_tokens_saved: usage.prefix.tokens_saved,
+        plan: build_plan(schedule, replicas, &score, target_qps),
+        prefix_hit_rate: score.prefix.hit_rate(),
+        retrieval_hit_rate: score.retrieval.hit_rate(),
+        prefix_tokens_saved: score.prefix.tokens_saved,
     })
 }
 
@@ -493,6 +492,89 @@ mod tests {
             cached.plan.total_xpus,
             schedule.allocation.total_xpus() * cached.plan.replicas
         );
+    }
+
+    /// The cached planner's streaming probes reproduce an exact-mode
+    /// [`evaluate_fleet_cached`] run of the chosen fleet bit for bit —
+    /// scores and cache counters alike — across rates, seeds and routers,
+    /// and one replica fewer misses the SLO in exact mode.
+    #[test]
+    fn cached_capacity_plan_matches_exact_mode() {
+        let profiler = case1_profiler();
+        let schedule = case1_schedule();
+        // Tight enough that even with hits every case needs a fleet.
+        let slo = SloTarget::new(0.2, 0.1);
+        let mut fleets = 0;
+        for (rate, seed, router) in [
+            (1000.0, 17, RouterPolicy::LeastOutstanding),
+            (1500.0, 4, RouterPolicy::CacheAffinity),
+            (2000.0, 11, RouterPolicy::PrefixHash),
+        ] {
+            let options = CapacityOptions {
+                max_replicas: 8,
+                num_requests: 300,
+                router,
+                seed,
+                ..CapacityOptions::default()
+            };
+            let cached = plan_capacity_cached(
+                &profiler,
+                &schedule,
+                &slo,
+                rate,
+                &options,
+                &hot_cache(),
+                &content(),
+            )
+            .unwrap();
+            let trace = content().tag(&sizing_trace(rate, &options));
+            let exact = |replicas: u32| {
+                evaluate_fleet_cached(
+                    &profiler,
+                    &schedule,
+                    &FleetConfig::new(replicas, router),
+                    &trace,
+                    &slo,
+                    &hot_cache(),
+                )
+                .unwrap()
+            };
+            let plan = cached.plan;
+            let at = exact(plan.replicas);
+            let usage = &at.report.merged.cache;
+            let case = format!("{rate} rps, seed {seed}, {router:?}");
+            assert!(at.meets_slo, "{case}");
+            assert_eq!(plan.attainment.to_bits(), at.attainment.to_bits(), "{case}");
+            assert_eq!(
+                plan.goodput_rps.to_bits(),
+                at.goodput_rps.to_bits(),
+                "{case}"
+            );
+            assert_eq!(
+                plan.drain_tail_s.to_bits(),
+                at.report.merged.metrics.drain_tail_s.to_bits(),
+                "{case}"
+            );
+            assert_eq!(
+                cached.prefix_hit_rate.to_bits(),
+                usage.prefix.hit_rate().to_bits(),
+                "{case}"
+            );
+            assert_eq!(
+                cached.retrieval_hit_rate.to_bits(),
+                usage.retrieval.hit_rate().to_bits(),
+                "{case}"
+            );
+            assert_eq!(
+                cached.prefix_tokens_saved, usage.prefix.tokens_saved,
+                "{case}"
+            );
+            if plan.replicas > 1 {
+                fleets += 1;
+                assert!(!exact(plan.replicas - 1).meets_slo, "{case}");
+            }
+        }
+        assert!(fleets >= 2, "too few cases needed a fleet: {fleets}");
     }
 
     #[test]

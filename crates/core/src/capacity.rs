@@ -22,16 +22,28 @@
 //! with a downward confirmation walk (see [`plan_capacity_with`]); the
 //! `fleet_scaling` bench cross-checks the result against an exhaustive
 //! linear scan.
+//!
+//! Every candidate only needs a pass/fail score, so the flat planners run
+//! each probe on the streaming metrics path
+//! ([`MetricsMode::Streaming`] with the planner's SLO counted online) and
+//! memoize a scalar probe record — attainment, goodput, drain tail and the
+//! fleet's cache counters — instead of the fleet report. The pool planner's
+//! engine has no streaming mode, so it runs each split exact, scores the
+//! report and drops it. The scores are bit-identical to the exact path's:
+//! SLO met-counts, the first-arrival/makespan folds and the cache counters
+//! are exact in both sinks (pinned by the `*_matches_exact_mode` tests).
 
 use crate::dynamic::pipeline_spec;
 use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
-use rago_schema::{KvTransferModel, RouterPolicy, SequenceProfile, SloTarget};
-use rago_serving_sim::cluster::{ClusterEngine, FleetReport};
-use rago_serving_sim::engine::PipelineSpec;
-use rago_serving_sim::pools::{DisaggEngine, DisaggReport};
+use rago_cache::CacheCounters;
+use rago_schema::{HistogramSpec, KvTransferModel, RouterPolicy, SequenceProfile, SloTarget};
+use rago_serving_sim::cluster::ClusterEngine;
+use rago_serving_sim::engine::{PipelineSpec, ServingReport};
+use rago_serving_sim::pools::DisaggEngine;
+use rago_serving_sim::{MetricsMode, StreamingConfig};
 use rago_workloads::{ArrivalProcess, RateSegment, TraceSpec};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -130,6 +142,12 @@ pub fn plan_capacity(
 /// every candidate count is evaluated on the same generated trace, so
 /// plans are comparable across schedules.
 ///
+/// Each candidate fleet runs on the streaming metrics path with `slo`
+/// counted online, and the search keeps only a scalar probe record per
+/// count. The returned attainment, goodput and drain tail are bit-identical
+/// to an exact-mode [`crate::dynamic::evaluate_fleet_dynamic`] run of the
+/// chosen fleet on the same trace.
+///
 /// # Errors
 ///
 /// Returns [`RagoError::InvalidConfig`] when the target rate is not
@@ -148,8 +166,8 @@ pub fn plan_capacity_with(
     schedule.validate()?;
     let spec = pipeline_spec(profiler, schedule)?;
     let trace = sizing_trace(target_qps, options);
-    let (replicas, report) = search_min_replicas(&spec, &trace, slo, target_qps, options)?;
-    Ok(build_plan(schedule, replicas, &report, slo, target_qps))
+    let (replicas, score) = search_min_replicas(&spec, &trace, slo, target_qps, options)?;
+    Ok(build_plan(schedule, replicas, &score, target_qps))
 }
 
 /// Upper bound on [`CapacityOptions::max_replicas`] accepted by the
@@ -225,62 +243,99 @@ pub(crate) fn sizing_trace(target_qps: f64, options: &CapacityOptions) -> rago_w
     .generate()
 }
 
+/// The score of one planner probe: everything a plan reads off a candidate
+/// fleet run, kept in place of the run's report so a search memoizes a few
+/// scalars per candidate rather than `O(requests)` timelines.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ProbeScore {
+    /// Fleet SLO attainment.
+    pub(crate) attainment: f64,
+    /// Fleet SLO goodput, in requests per second of serving duration.
+    pub(crate) goodput_rps: f64,
+    /// Drain tail of the run.
+    pub(crate) drain_tail_s: f64,
+    /// Fleet-wide prefix-KV cache counters.
+    pub(crate) prefix: CacheCounters,
+    /// Fleet-wide retrieval-result cache counters.
+    pub(crate) retrieval: CacheCounters,
+}
+
+impl ProbeScore {
+    /// Scores a merged fleet report against `slo`. For a streaming report,
+    /// `slo` must be the SLO the run counted online.
+    pub(crate) fn of(report: &ServingReport, slo: &SloTarget) -> Self {
+        Self {
+            attainment: report.attainment(slo),
+            goodput_rps: report.goodput_rps(slo),
+            drain_tail_s: report.metrics.drain_tail_s,
+            prefix: report.cache.prefix,
+            retrieval: report.cache.retrieval,
+        }
+    }
+
+    /// Whether the probe meets `slo`'s attainment target.
+    fn meets(&self, slo: &SloTarget) -> bool {
+        self.attainment >= slo.attainment
+    }
+}
+
 /// Assembles the [`CapacityPlan`] of a finished search — the single
 /// definition of the plan's derived fields, shared with the cache-aware
 /// planner.
 pub(crate) fn build_plan(
     schedule: &Schedule,
     replicas: u32,
-    report: &FleetReport,
-    slo: &SloTarget,
+    score: &ProbeScore,
     target_qps: f64,
 ) -> CapacityPlan {
     CapacityPlan {
         replicas,
         target_qps,
-        attainment: report.attainment(slo),
-        goodput_rps: report.goodput_rps(slo),
+        attainment: score.attainment,
+        goodput_rps: score.goodput_rps,
         total_xpus: schedule.allocation.total_xpus() * replicas,
         total_retrieval_servers: schedule.allocation.retrieval_servers * replicas,
-        drain_tail_s: report.merged.metrics.drain_tail_s,
+        drain_tail_s: score.drain_tail_s,
     }
 }
 
 /// The search core of [`plan_capacity_with`]: the minimum replica count of
 /// `spec` whose fleet attainment over `trace` meets `slo` (binary search
 /// plus a downward confirmation walk, every candidate memoized on the same
-/// trace). Returns the count together with its fleet report. Shared with
-/// the cache-aware planner in [`crate::cached`], which supplies a cached
-/// spec and a content-tagged trace.
+/// trace). Each candidate runs on the streaming path with `slo` counted
+/// online; the memo keeps its [`ProbeScore`] only. Returns the count
+/// together with its score. Shared with the cache-aware planner in
+/// [`crate::cached`], which supplies a cached spec and a content-tagged
+/// trace.
 pub(crate) fn search_min_replicas(
     spec: &PipelineSpec,
     trace: &rago_workloads::Trace,
     slo: &SloTarget,
     target_qps: f64,
     options: &CapacityOptions,
-) -> Result<(u32, FleetReport), RagoError> {
-    let mut reports: BTreeMap<u32, FleetReport> = BTreeMap::new();
-    let meets = |replicas: u32, reports: &mut BTreeMap<u32, FleetReport>| -> bool {
-        reports
-            .entry(replicas)
-            .or_insert_with(|| {
+) -> Result<(u32, ProbeScore), RagoError> {
+    let mode =
+        MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()).with_slo(*slo));
+    let mut scores: BTreeMap<u32, ProbeScore> = BTreeMap::new();
+    let mut probe = |replicas: u32| -> ProbeScore {
+        *scores.entry(replicas).or_insert_with(|| {
+            let report =
                 ClusterEngine::homogeneous(spec.clone(), replicas_usize(replicas), options.router)
-                    .run_trace(trace)
-            })
-            .attainment(slo)
-            >= slo.attainment
+                    .run_trace_with_mode(trace, &mode);
+            ProbeScore::of(&report.merged, slo)
+        })
     };
 
     // Establish feasibility at the upper bound, then binary-search the
     // minimal feasible count in [1, max].
-    if !meets(options.max_replicas, &mut reports) {
-        let top = &reports[&options.max_replicas];
+    let top = probe(options.max_replicas);
+    if !top.meets(slo) {
         return Err(RagoError::NoFeasibleSchedule {
             reason: format!(
                 "even {} replicas reach only {:.1} % attainment at {target_qps:.1} rps \
                  (target {:.1} %)",
                 options.max_replicas,
-                top.attainment(slo) * 100.0,
+                top.attainment * 100.0,
                 slo.attainment * 100.0
             ),
         });
@@ -289,7 +344,7 @@ pub(crate) fn search_min_replicas(
     let mut hi = options.max_replicas;
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if meets(mid, &mut reports) {
+        if probe(mid).meets(slo) {
             hi = mid;
         } else {
             lo = mid + 1;
@@ -300,13 +355,10 @@ pub(crate) fn search_min_replicas(
     // smaller fleets still meet the SLO (memoized — one extra evaluation
     // when the sweep is monotone).
     let mut replicas = hi;
-    while replicas > 1 && meets(replicas - 1, &mut reports) {
+    while replicas > 1 && probe(replicas - 1).meets(slo) {
         replicas -= 1;
     }
-    let report = reports
-        .remove(&replicas)
-        .expect("the chosen replica count was evaluated");
-    Ok((replicas, report))
+    Ok((replicas, probe(replicas)))
 }
 
 /// The provisioning decision for one schedule at one target rate under
@@ -377,35 +429,31 @@ pub fn plan_capacity_pools(
     let trace = sizing_trace(target_qps, options);
     let max = options.max_replicas;
 
-    let mut reports: BTreeMap<(u32, u32), DisaggReport> = BTreeMap::new();
-    let meets = |p: u32, d: u32, reports: &mut BTreeMap<(u32, u32), DisaggReport>| -> bool {
-        reports
-            .entry((p, d))
-            .or_insert_with(|| {
-                DisaggEngine::new(
-                    prefill_spec.clone(),
-                    replicas_usize(p),
-                    options.router,
-                    decode_spec.clone(),
-                    replicas_usize(d),
-                    options.router,
-                    *transfer,
-                )
-                .run_trace(&trace)
-            })
-            .merged
-            .attainment(slo)
-            >= slo.attainment
+    let mut scores: BTreeMap<(u32, u32), ProbeScore> = BTreeMap::new();
+    let mut probe = |p: u32, d: u32| -> ProbeScore {
+        *scores.entry((p, d)).or_insert_with(|| {
+            let report = DisaggEngine::new(
+                prefill_spec.clone(),
+                replicas_usize(p),
+                options.router,
+                decode_spec.clone(),
+                replicas_usize(d),
+                options.router,
+                *transfer,
+            )
+            .run_trace(&trace);
+            ProbeScore::of(&report.merged, slo)
+        })
     };
 
     // Feasibility at the joint upper bound, mirroring the flat planner.
-    if !meets(max, max, &mut reports) {
-        let top = &reports[&(max, max)];
+    let top = probe(max, max);
+    if !top.meets(slo) {
         return Err(RagoError::NoFeasibleSchedule {
             reason: format!(
                 "even a {max} + {max} prefill/decode split reaches only {:.1} % attainment \
                  at {target_qps:.1} rps (target {:.1} %)",
-                top.merged.attainment(slo) * 100.0,
+                top.attainment * 100.0,
                 slo.attainment * 100.0
             ),
         });
@@ -421,21 +469,21 @@ pub fn plan_capacity_pools(
         if best.is_some_and(|(.., cost)| floor > cost) {
             break;
         }
-        if !meets(p, max, &mut reports) {
+        if !probe(p, max).meets(slo) {
             continue;
         }
         let mut lo = 1u32;
         let mut hi = max;
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if meets(p, mid, &mut reports) {
+            if probe(p, mid).meets(slo) {
                 hi = mid;
             } else {
                 lo = mid + 1;
             }
         }
         let mut d = hi;
-        while d > 1 && meets(p, d - 1, &mut reports) {
+        while d > 1 && probe(p, d - 1).meets(slo) {
             d -= 1;
         }
         let cost = p * chips_prefill + d * chips_decode;
@@ -449,18 +497,16 @@ pub fn plan_capacity_pools(
     }
 
     let (p, d, cost) = best.expect("the (max, max) split was confirmed feasible");
-    let report = reports
-        .remove(&(p, d))
-        .expect("the chosen split was evaluated");
+    let score = probe(p, d);
     Ok(PoolCapacityPlan {
         prefill_replicas: p,
         decode_replicas: d,
         target_qps,
-        attainment: report.merged.attainment(slo),
-        goodput_rps: report.merged.goodput_rps(slo),
+        attainment: score.attainment,
+        goodput_rps: score.goodput_rps,
         total_xpus: cost,
         total_retrieval_servers: schedule.allocation.retrieval_servers * p,
-        drain_tail_s: report.merged.metrics.drain_tail_s,
+        drain_tail_s: score.drain_tail_s,
     })
 }
 
@@ -469,47 +515,50 @@ pub fn plan_capacity_pools(
 /// analogue of [`crate::dynamic::rank_frontier_by_goodput`]. Each point is
 /// capacity-planned independently (in parallel across rayon workers);
 /// points that cannot meet the SLO even at `options.max_replicas` replicas
-/// are omitted. Ties on total XPUs break toward fewer replicas, then lower
-/// static TTFT, then the schedule description, so the ranking is
-/// deterministic.
+/// ([`RagoError::NoFeasibleSchedule`]) are omitted. Ties on total XPUs
+/// break toward fewer replicas, then lower static TTFT, then the schedule
+/// description, so the ranking is deterministic.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the target rate is not positive and finite or the options
-/// describe an empty search (zero requests or zero replicas). Those inputs
-/// would fail *every* per-point plan, and silently returning an empty
-/// ranking would be indistinguishable from "no schedule can serve this
-/// rate".
+/// Returns [`RagoError::InvalidConfig`] when the target rate or the options
+/// fail [`plan_capacity_with`]'s input validation — checked once, before
+/// any simulation, because such inputs would fail *every* per-point plan
+/// and an empty ranking would read as "no schedule can serve this rate".
+/// Any other per-point error than [`RagoError::NoFeasibleSchedule`] is
+/// propagated; with several, the first in frontier order wins.
 pub fn rank_frontier_by_cost_at_qps(
     profiler: &StageProfiler,
     frontier: &ParetoFrontier,
     slo: &SloTarget,
     target_qps: f64,
     options: &CapacityOptions,
-) -> Vec<(ParetoPoint, CapacityPlan)> {
-    assert!(
-        target_qps > 0.0 && target_qps.is_finite(),
-        "target QPS must be positive and finite, got {target_qps}"
-    );
-    assert!(
-        options.max_replicas > 0 && options.num_requests > 0,
-        "capacity options must allow at least one replica and one request"
-    );
-    let mut ranked: Vec<(ParetoPoint, CapacityPlan)> = frontier
+) -> Result<Vec<(ParetoPoint, CapacityPlan)>, RagoError> {
+    validate_capacity_inputs(target_qps, options)?;
+    let mut planned: Vec<(usize, Result<CapacityPlan, RagoError>)> = frontier
         .iter()
+        .enumerate()
         .par_bridge()
-        .fold(Vec::new, |mut acc, point| {
-            if let Ok(plan) =
-                plan_capacity_with(profiler, &point.schedule, slo, target_qps, options)
-            {
-                acc.push((point.clone(), plan));
-            }
+        .fold(Vec::new, |mut acc, (index, point)| {
+            acc.push((
+                index,
+                plan_capacity_with(profiler, &point.schedule, slo, target_qps, options),
+            ));
             acc
         })
         .reduce(Vec::new, |mut a, mut b| {
             a.append(&mut b);
             a
         });
+    planned.sort_by_key(|(index, _)| *index);
+    let mut ranked = Vec::with_capacity(planned.len());
+    for ((_, plan), point) in planned.into_iter().zip(frontier.iter()) {
+        match plan {
+            Ok(plan) => ranked.push((point.clone(), plan)),
+            Err(RagoError::NoFeasibleSchedule { .. }) => {}
+            Err(e) => return Err(e),
+        }
+    }
     ranked.sort_by(|a, b| {
         a.1.total_xpus
             .cmp(&b.1.total_xpus)
@@ -517,7 +566,7 @@ pub fn rank_frontier_by_cost_at_qps(
             .then(a.0.performance.ttft_s.total_cmp(&b.0.performance.ttft_s))
             .then_with(|| a.0.schedule.describe().cmp(&b.0.schedule.describe()))
     });
-    ranked
+    Ok(ranked)
 }
 
 /// One interval of a capacity schedule: how many replicas a rate segment
@@ -730,16 +779,28 @@ mod tests {
             seed: options.seed,
         }
         .generate();
-        let scan = (1..=options.max_replicas)
-            .find(|&n| {
-                ClusterEngine::homogeneous(spec.clone(), replicas_usize(n), options.router)
-                    .run_trace(&trace)
-                    .attainment(&slo)
-                    >= slo.attainment
+        let (scan, exact) = (1..=options.max_replicas)
+            .map(|n| {
+                let report =
+                    ClusterEngine::homogeneous(spec.clone(), replicas_usize(n), options.router)
+                        .run_trace(&trace);
+                (n, report)
             })
+            .find(|(_, report)| report.attainment(&slo) >= slo.attainment)
             .expect("some count within the bound meets the SLO");
         assert_eq!(plan.replicas, scan);
         assert!(plan.attainment >= slo.attainment);
+        // The streaming probes score the chosen fleet bit for bit as the
+        // exact scan does.
+        assert_eq!(plan.attainment.to_bits(), exact.attainment(&slo).to_bits());
+        assert_eq!(
+            plan.goodput_rps.to_bits(),
+            exact.goodput_rps(&slo).to_bits()
+        );
+        assert_eq!(
+            plan.drain_tail_s.to_bits(),
+            exact.merged.metrics.drain_tail_s.to_bits()
+        );
         assert_eq!(
             plan.total_xpus,
             schedule.allocation.total_xpus() * plan.replicas
@@ -977,6 +1038,162 @@ mod tests {
         ));
     }
 
+    /// The streaming probes decide exactly as exact-mode runs would: across
+    /// rates, seeds and routers, re-running the chosen count exact with
+    /// [`crate::dynamic::evaluate_fleet_dynamic`] reproduces the plan's
+    /// scores bit for bit, and one replica fewer misses the SLO.
+    #[test]
+    fn flat_plan_matches_exact_mode() {
+        let profiler = case1_profiler();
+        let schedule = case1_schedule();
+        // A tight TTFT target at a high rate, so every case needs a fleet
+        // and the count-below check is not vacuous.
+        let slo = SloTarget::new(0.2, 0.1);
+        let mut fleets = 0;
+        for (rate, seed, router) in [
+            (200.0, 17, RouterPolicy::LeastOutstanding),
+            (300.0, 3, RouterPolicy::RoundRobin),
+            (400.0, 29, RouterPolicy::JoinShortestQueue),
+            (250.0, 8, RouterPolicy::DecodeFillAware),
+        ] {
+            let options = CapacityOptions {
+                num_requests: 300,
+                router,
+                seed,
+                ..quick_options()
+            };
+            let plan = plan_capacity_with(&profiler, &schedule, &slo, rate, &options).unwrap();
+            let trace = sizing_trace(rate, &options);
+            let exact = |replicas: u32| {
+                crate::dynamic::evaluate_fleet_dynamic(
+                    &profiler,
+                    &schedule,
+                    &rago_schema::FleetConfig::new(replicas, router),
+                    &trace,
+                    &slo,
+                )
+                .unwrap()
+            };
+            let at = exact(plan.replicas);
+            let case = format!("{rate} rps, seed {seed}, {router:?}");
+            assert!(at.meets_slo, "{case}");
+            assert_eq!(plan.attainment.to_bits(), at.attainment.to_bits(), "{case}");
+            assert_eq!(
+                plan.goodput_rps.to_bits(),
+                at.goodput_rps.to_bits(),
+                "{case}"
+            );
+            assert_eq!(
+                plan.drain_tail_s.to_bits(),
+                at.report.merged.metrics.drain_tail_s.to_bits(),
+                "{case}"
+            );
+            if plan.replicas > 1 {
+                fleets += 1;
+                assert!(!exact(plan.replicas - 1).meets_slo, "{case}");
+            }
+        }
+        assert!(fleets >= 3, "too few cases needed a fleet: {fleets}");
+    }
+
+    /// The pool planner scores each split once and keeps only the score:
+    /// the chosen split re-run through
+    /// [`crate::disagg::evaluate_fleet_disagg`] reproduces the plan bit for
+    /// bit, and one replica fewer in either pool misses the SLO.
+    #[test]
+    fn pool_plan_matches_exact_mode() {
+        let profiler = case1_profiler();
+        let schedule = case1_schedule();
+        let slo = SloTarget::new(0.2, 0.1);
+        let transfer = KvTransferModel::new(131_072.0, 100e9, 5e-6);
+        let mut fleets = 0;
+        for (rate, seed, router) in [
+            (200.0, 17, RouterPolicy::LeastOutstanding),
+            (300.0, 5, RouterPolicy::RoundRobin),
+            (400.0, 23, RouterPolicy::JoinShortestQueue),
+        ] {
+            let options = CapacityOptions {
+                max_replicas: 4,
+                num_requests: 300,
+                router,
+                seed,
+                ..CapacityOptions::default()
+            };
+            let plan =
+                plan_capacity_pools(&profiler, &schedule, &slo, rate, &transfer, &options).unwrap();
+            let trace = sizing_trace(rate, &options);
+            let exact = |p: u32, d: u32| {
+                crate::disagg::evaluate_fleet_disagg(
+                    &profiler,
+                    &schedule,
+                    &rago_schema::FleetConfig::split(p, d, router).with_transfer(transfer),
+                    &trace,
+                    &slo,
+                )
+                .unwrap()
+            };
+            let (p, d) = (plan.prefill_replicas, plan.decode_replicas);
+            let at = exact(p, d);
+            let case = format!("{rate} rps, seed {seed}, {router:?}");
+            assert!(at.meets_slo, "{case}");
+            assert_eq!(plan.attainment.to_bits(), at.attainment.to_bits(), "{case}");
+            assert_eq!(
+                plan.goodput_rps.to_bits(),
+                at.goodput_rps.to_bits(),
+                "{case}"
+            );
+            assert_eq!(
+                plan.drain_tail_s.to_bits(),
+                at.report.merged.metrics.drain_tail_s.to_bits(),
+                "{case}"
+            );
+            if p > 1 {
+                fleets += 1;
+                assert!(!exact(p - 1, d).meets_slo, "{case}");
+            }
+            if d > 1 {
+                assert!(!exact(p, d - 1).meets_slo, "{case}");
+            }
+        }
+        assert!(
+            fleets >= 2,
+            "too few cases needed a prefill fleet: {fleets}"
+        );
+    }
+
+    /// Inputs that would fail every per-point plan are an error, not an
+    /// empty ranking: a replica bound past [`MAX_PLANNER_REPLICAS`], a NaN
+    /// rate and an empty sizing trace each return `Err` before any
+    /// simulation.
+    #[test]
+    fn frontier_cost_ranking_rejects_invalid_inputs() {
+        let rago = Rago::new(
+            presets::case1_hyperscale(LlmSize::B8, 1),
+            ClusterSpec::paper_default(),
+        );
+        let frontier = rago.optimize(&SearchOptions::fast()).unwrap();
+        let slo = SloTarget::new(2.0, 0.1);
+        let too_many = CapacityOptions {
+            max_replicas: 5000,
+            ..quick_options()
+        };
+        let no_requests = CapacityOptions {
+            num_requests: 0,
+            ..quick_options()
+        };
+        for (qps, options) in [
+            (20.0, too_many),
+            (f64::NAN, quick_options()),
+            (20.0, no_requests),
+        ] {
+            let result = rago.rank_frontier_by_cost_at_qps(&frontier, &slo, qps, &options);
+            assert!(
+                matches!(result, Err(RagoError::InvalidConfig { .. })),
+                "{qps} rps with {options:?} did not return an InvalidConfig error"
+            );
+        }
+    }
+
     /// Boundary regression for the planner replica bound: `max_replicas`
     /// at the bound validates, one past it is rejected with
     /// [`RagoError::InvalidConfig`] — before any simulation runs (an
@@ -1044,7 +1261,8 @@ mod tests {
             ..CapacityOptions::default()
         };
         let ranked =
-            rank_frontier_by_cost_at_qps(rago.profiler(), &frontier, &slo, 20.0, &capacity);
+            rank_frontier_by_cost_at_qps(rago.profiler(), &frontier, &slo, 20.0, &capacity)
+                .unwrap();
         assert!(!ranked.is_empty());
         for pair in ranked.windows(2) {
             assert!(pair[0].1.total_xpus <= pair[1].1.total_xpus);

@@ -722,13 +722,17 @@ impl Rago {
     /// Re-ranks a Pareto frontier by the total chips needed to serve
     /// `target_qps` within `slo`, cheapest fleet first. See
     /// [`crate::capacity::rank_frontier_by_cost_at_qps`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`crate::capacity::rank_frontier_by_cost_at_qps`] errors.
     pub fn rank_frontier_by_cost_at_qps(
         &self,
         frontier: &ParetoFrontier,
         slo: &rago_schema::SloTarget,
         target_qps: f64,
         options: &crate::capacity::CapacityOptions,
-    ) -> Vec<(crate::pareto::ParetoPoint, crate::capacity::CapacityPlan)> {
+    ) -> Result<Vec<(crate::pareto::ParetoPoint, crate::capacity::CapacityPlan)>, RagoError> {
         crate::capacity::rank_frontier_by_cost_at_qps(
             &self.profiler,
             frontier,

@@ -64,8 +64,8 @@
 //! ```
 
 use crate::cluster::{
-    advance_all, merge_finished_replicas, merge_finished_replicas_streaming,
-    record_fleet_observability, route_pick, FleetReport, ReplicaObs,
+    merge_finished_replicas, merge_finished_replicas_streaming, record_fleet_observability,
+    route_pick, FleetReport, ReplicaObs,
 };
 use crate::engine::{EngineRequest, PipelineSpec, ReplicaSim};
 use crate::sink::MetricsMode;
@@ -315,7 +315,6 @@ pub struct AutoscaleEngine {
     spec: PipelineSpec,
     router: RouterPolicy,
     policy: AutoscalerPolicy,
-    parallel_advance: bool,
     telemetry: rago_telemetry::TelemetryConfig,
 }
 
@@ -333,7 +332,6 @@ impl AutoscaleEngine {
             spec,
             router,
             policy,
-            parallel_advance: false,
             telemetry: rago_telemetry::TelemetryConfig::disabled(),
         }
     }
@@ -344,17 +342,6 @@ impl AutoscaleEngine {
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: rago_telemetry::TelemetryConfig) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Advances replicas in parallel between routing points and policy
-    /// ticks (off by default) — same determinism argument as
-    /// [`crate::cluster::ClusterEngine::with_parallel_advance`]: replicas
-    /// are independent between clock points, so the report is bit-identical
-    /// to the serial run.
-    #[must_use]
-    pub fn with_parallel_advance(mut self, parallel: bool) -> Self {
-        self.parallel_advance = parallel;
         self
     }
 
@@ -512,7 +499,7 @@ impl AutoscaleEngine {
             if tick_due {
                 let now = next_tick;
                 next_tick += interval;
-                advance_all(&mut slots, |s| &mut s.sim, now, self.parallel_advance);
+                advance_slots(&mut slots, now);
                 self.evaluate_policy(
                     now,
                     &mut slots,
@@ -525,12 +512,7 @@ impl AutoscaleEngine {
             } else {
                 let req = requests[next_req];
                 next_req += 1;
-                advance_all(
-                    &mut slots,
-                    |s| &mut s.sim,
-                    req.arrival_s,
-                    self.parallel_advance,
-                );
+                advance_slots(&mut slots, req.arrival_s);
                 let routable: Vec<usize> = slots
                     .iter()
                     .enumerate()
@@ -735,6 +717,14 @@ impl AutoscaleEngine {
                 mean_outstanding,
             });
         }
+    }
+}
+
+/// Advances every slot's replica to just before `t`, serially: it runs at
+/// every arrival and tick, and moves each replica only a few events.
+fn advance_slots(slots: &mut [Slot], t: f64) {
+    for slot in slots {
+        slot.sim.advance_before(t);
     }
 }
 

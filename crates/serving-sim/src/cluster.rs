@@ -174,7 +174,6 @@ pub(crate) struct ReplicaObs {
 pub struct ClusterEngine {
     replicas: Vec<PipelineSpec>,
     router: RouterPolicy,
-    parallel_advance: bool,
     telemetry: rago_telemetry::TelemetryConfig,
 }
 
@@ -189,7 +188,6 @@ impl ClusterEngine {
         Self {
             replicas: vec![spec; replicas],
             router,
-            parallel_advance: false,
             telemetry: rago_telemetry::TelemetryConfig::disabled(),
         }
     }
@@ -205,7 +203,6 @@ impl ClusterEngine {
         Self {
             replicas,
             router,
-            parallel_advance: false,
             telemetry: rago_telemetry::TelemetryConfig::disabled(),
         }
     }
@@ -216,19 +213,6 @@ impl ClusterEngine {
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: rago_telemetry::TelemetryConfig) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Advances replicas in parallel between routing points (off by
-    /// default). Each replica simulation is independent between arrivals,
-    /// so the per-replica state after a parallel advance is identical to a
-    /// serial advance regardless of thread interleaving — routing still
-    /// inspects the replicas serially, and the resulting [`FleetReport`] is
-    /// bit-identical to the serial run (the `scale_stress` bench asserts
-    /// this on every run).
-    #[must_use]
-    pub fn with_parallel_advance(mut self, parallel: bool) -> Self {
-        self.parallel_advance = parallel;
         self
     }
 
@@ -334,10 +318,8 @@ impl ClusterEngine {
     }
 
     /// The routing loop shared by every run mode: advances all replicas to
-    /// each arrival (serially, or in parallel when
-    /// [`Self::with_parallel_advance`] is set), routes, and injects. The
-    /// recorder sees one decision event per pick; it never influences the
-    /// pick.
+    /// each arrival, routes, and injects. The recorder sees one decision
+    /// event per pick; it never influences the pick.
     fn route_all<R: rago_telemetry::Recorder>(
         &self,
         mut requests: Vec<EngineRequest>,
@@ -357,7 +339,11 @@ impl ClusterEngine {
         let mut assigned_counts = vec![0usize; sims.len()];
         let mut round_robin_next = 0usize;
         for req in &requests {
-            advance_all(&mut sims, |s| s, req.arrival_s, self.parallel_advance);
+            // Serial on purpose: this runs once per arrival and moves each
+            // replica only a few events, far less than a thread fan-out costs.
+            for sim in &mut sims {
+                sim.advance_before(req.arrival_s);
+            }
             let replica = route_pick(
                 self.router,
                 sims.len(),
@@ -420,34 +406,6 @@ pub(crate) fn record_fleet_observability<R: rago_telemetry::Recorder>(
         ));
     }
     profile.record_into(rec, end_s, rago_telemetry::FLEET_TRACK);
-}
-
-/// Advances every replica to just before `arrival_s`. The replicas share no
-/// state between routing points, so the parallel form leaves each replica
-/// bit-identical to the serial loop — shared by the fixed fleet and the
-/// autoscaler (whose replicas live inside slot structs, hence the
-/// accessor).
-pub(crate) fn advance_all<T, F>(items: &mut [T], sim_of: F, arrival_s: f64, parallel: bool)
-where
-    T: Send,
-    F: for<'a> Fn(&'a mut T) -> &'a mut ReplicaSim + Sync,
-{
-    if parallel && items.len() > 1 {
-        items
-            .iter_mut()
-            .par_bridge()
-            .fold(
-                || (),
-                |(), item| {
-                    sim_of(item).advance_before(arrival_s);
-                },
-            )
-            .reduce(|| (), |(), ()| ());
-    } else {
-        for item in items.iter_mut() {
-            sim_of(item).advance_before(arrival_s);
-        }
-    }
 }
 
 /// Drains every replica simulation to completion and merges the runs into a

@@ -84,7 +84,7 @@
 //! ```
 
 use crate::autoscaler::{AutoscalerPolicy, ReplicaLifetime, ScalingAction, ScalingEvent};
-use crate::cluster::{advance_all, route_pick, FleetReport, LoadImbalance, ReplicaReport};
+use crate::cluster::{route_pick, FleetReport, LoadImbalance, ReplicaReport};
 use crate::engine::{
     build_report, compute_metrics_for, sort_by_arrival, ClassMetrics, EngineRequest, PipelineSpec,
     ReplicaSim, RequestTimeline, SimAccumulators,
@@ -891,7 +891,6 @@ pub struct ChaosEngine {
     faults: FaultSchedule,
     crash_policy: CrashPolicy,
     admission: Option<AdmissionConfig>,
-    parallel_advance: bool,
     telemetry: rago_telemetry::TelemetryConfig,
 }
 
@@ -912,7 +911,6 @@ impl ChaosEngine {
             faults: FaultSchedule::empty(),
             crash_policy: CrashPolicy::default(),
             admission: None,
-            parallel_advance: false,
             telemetry: rago_telemetry::TelemetryConfig::disabled(),
         }
     }
@@ -945,15 +943,6 @@ impl ChaosEngine {
     #[must_use]
     pub fn with_admission(mut self, admission: AdmissionConfig) -> Self {
         self.admission = Some(admission);
-        self
-    }
-
-    /// Advances replicas in parallel between clock points (off by default);
-    /// bit-identical to the serial run, as for
-    /// [`crate::ClusterEngine::with_parallel_advance`].
-    #[must_use]
-    pub fn with_parallel_advance(mut self, parallel: bool) -> Self {
-        self.parallel_advance = parallel;
         self
     }
 
@@ -1184,7 +1173,7 @@ impl ChaosEngine {
                 1 => {
                     // Flush: a replica just became routable; drain pending
                     // arrivals through admission + routing at this instant.
-                    advance_live(&mut slots, now, self.parallel_advance);
+                    advance_live(&mut slots, now);
                     while let Some(req) = pending.pop_front() {
                         let routable = routable_indices(&slots, now);
                         if routable.is_empty() {
@@ -1224,7 +1213,7 @@ impl ChaosEngine {
                 2 => match &self.driver {
                     ScaleDriver::Reactive(policy) => {
                         next_tick += policy.evaluation_interval_s;
-                        advance_live(&mut slots, now, self.parallel_advance);
+                        advance_live(&mut slots, now);
                         self.evaluate_reactive(
                             policy,
                             now,
@@ -1239,7 +1228,7 @@ impl ChaosEngine {
                     ScaleDriver::Predictive(p) => {
                         let target = p.plan.steps[next_step].replicas;
                         next_step += 1;
-                        advance_live(&mut slots, now, self.parallel_advance);
+                        advance_live(&mut slots, now);
                         self.apply_plan_target(
                             target,
                             p.warmup_s,
@@ -1256,7 +1245,7 @@ impl ChaosEngine {
                 _ => {
                     let req = requests[next_req];
                     next_req += 1;
-                    advance_live(&mut slots, req.arrival_s, self.parallel_advance);
+                    advance_live(&mut slots, req.arrival_s);
                     let routable = routable_indices(&slots, req.arrival_s);
                     if routable.is_empty() {
                         pending.push_back(req);
@@ -1316,9 +1305,10 @@ impl ChaosEngine {
 }
 
 /// Advances every live replica to just before `t`.
-fn advance_live(slots: &mut [ChaosSlot], t: f64, parallel: bool) {
-    let mut live: Vec<&mut ReplicaSim> = slots.iter_mut().filter_map(|s| s.sim.as_mut()).collect();
-    advance_all(&mut live, |s| &mut **s, t, parallel);
+fn advance_live(slots: &mut [ChaosSlot], t: f64) {
+    for sim in slots.iter_mut().filter_map(|s| s.sim.as_mut()) {
+        sim.advance_before(t);
+    }
 }
 
 /// Slot indices routable at `t`, ascending.
@@ -1596,7 +1586,7 @@ impl ChaosEngine {
         // Work completing strictly before the death instant survives; work
         // completing exactly at it is lost with the replica (the pinned
         // `advance_before` semantics).
-        advance_live(slots, now, self.parallel_advance);
+        advance_live(slots, now);
         let mut sim = slots[slot]
             .sim
             .take()

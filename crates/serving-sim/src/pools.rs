@@ -65,7 +65,7 @@
 //! assert!(report.transfers.latency_total_s > 0.0);
 //! ```
 
-use crate::cluster::{advance_all, route_pick, FleetReport, LoadImbalance, ReplicaReport};
+use crate::cluster::{route_pick, FleetReport, LoadImbalance, ReplicaReport};
 use crate::engine::{
     build_report, sort_by_arrival, EngineRequest, PipelineSpec, ReplicaSim, RequestTimeline,
     ServingReport, SimAccumulators,
@@ -317,7 +317,6 @@ pub struct DisaggEngine {
     prefill_router: RouterPolicy,
     decode_router: RouterPolicy,
     transfer: KvTransferModel,
-    parallel_advance: bool,
     faults: Vec<PoolCrash>,
     telemetry: rago_telemetry::TelemetryConfig,
 }
@@ -360,7 +359,6 @@ impl DisaggEngine {
             prefill_router,
             decode_router,
             transfer,
-            parallel_advance: false,
             faults: Vec::new(),
             telemetry: rago_telemetry::TelemetryConfig::disabled(),
         }
@@ -394,15 +392,6 @@ impl DisaggEngine {
             decode.router,
             transfer,
         ))
-    }
-
-    /// Enables rayon-parallel advancement of the prefill pool between
-    /// routing points (bit-identical to the serial loop, as in
-    /// [`crate::cluster::ClusterEngine::with_parallel_advance`]).
-    #[must_use]
-    pub fn with_parallel_advance(mut self, parallel: bool) -> Self {
-        self.parallel_advance = parallel;
-        self
     }
 
     /// Schedules deterministic per-pool crashes (and optional restarts).
@@ -642,7 +631,7 @@ impl DisaggEngine {
                     // Advance the prefill pool to the fault instant first so
                     // every handoff that precedes the fault is discovered,
                     // and let those transfers act before the fault does.
-                    advance_pool(&mut prefill, tf, self.parallel_advance);
+                    advance_pool(&mut prefill, tf);
                     harvest!();
                     horizon = horizon.max(tf);
                     if pending.peek_time().is_some_and(|tc| tc < tf) {
@@ -664,7 +653,7 @@ impl DisaggEngine {
                     );
                 }
                 (_, Some(ta)) => {
-                    advance_pool(&mut prefill, ta, self.parallel_advance);
+                    advance_pool(&mut prefill, ta);
                     harvest!();
                     horizon = horizon.max(ta);
                     if pending.peek_time().is_some_and(|tc| tc < ta) {
@@ -753,7 +742,7 @@ impl DisaggEngine {
         decode_asg: &mut Vec<(u64, usize)>,
         trace: &mut R,
     ) {
-        advance_pool(decode, tc, false);
+        advance_pool(decode, tc);
         live_slots(decode, live_buf);
         assert!(
             !live_buf.is_empty(),
@@ -821,7 +810,7 @@ impl DisaggEngine {
                 // the fault instant by the main loop; the decode pool is
                 // advanced here. Either way the victim stops just before
                 // `t` — the crash wins the tie against its own work.
-                advance_pool(slots, t, false);
+                advance_pool(slots, t);
                 let Some(mut sim) = slots[replica].sim.take() else {
                     panic!("crash at {t:.6}s targets replica {replica} which is already down");
                 };
@@ -976,19 +965,9 @@ impl DisaggEngine {
 }
 
 /// Advances every live slot of a pool to just before `t`.
-fn advance_pool(slots: &mut [PoolSlot], t: f64, parallel: bool) {
-    // `advance_all` needs a `&mut ReplicaSim` per item; crashed slots are
-    // filtered out first.
-    if parallel {
-        let mut sims: Vec<&mut ReplicaSim> =
-            slots.iter_mut().filter_map(|s| s.sim.as_mut()).collect();
-        advance_all(&mut sims, |s| &mut **s, t, true);
-    } else {
-        for slot in slots.iter_mut() {
-            if let Some(sim) = slot.sim.as_mut() {
-                sim.advance_before(t);
-            }
-        }
+fn advance_pool(slots: &mut [PoolSlot], t: f64) {
+    for sim in slots.iter_mut().filter_map(|s| s.sim.as_mut()) {
+        sim.advance_before(t);
     }
 }
 
@@ -1365,34 +1344,5 @@ mod tests {
             KvTransferModel::zero()
         )
         .is_some());
-    }
-
-    #[test]
-    fn parallel_advance_is_bit_identical() {
-        let trace = trace(90, 70.0, 21);
-        let model = KvTransferModel::new(131_072.0, 25e9, 20e-6);
-        let serial = DisaggEngine::new(
-            two_stage_spec(),
-            3,
-            RouterPolicy::LeastOutstanding,
-            decode_spec(),
-            2,
-            RouterPolicy::RoundRobin,
-            model,
-        )
-        .run_trace(&trace);
-        let parallel = DisaggEngine::new(
-            two_stage_spec(),
-            3,
-            RouterPolicy::LeastOutstanding,
-            decode_spec(),
-            2,
-            RouterPolicy::RoundRobin,
-            model,
-        )
-        .with_parallel_advance(true)
-        .run_trace(&trace);
-        assert_eq!(serial.merged.timelines, parallel.merged.timelines);
-        assert_eq!(serial.transfers, parallel.transfers);
     }
 }

@@ -101,7 +101,9 @@ fn main() {
     // per-chip winner is not always the cheapest fleet: replica granularity
     // can favour a smaller schedule replicated more times.
     println!("\nfrontier re-ranked by total chips to serve {rate:.1} rps:");
-    let ranked = rago.rank_frontier_by_cost_at_qps(&frontier, &slo, rate, &options);
+    let ranked = rago
+        .rank_frontier_by_cost_at_qps(&frontier, &slo, rate, &options)
+        .expect("the target rate and options are valid");
     for (point, plan) in ranked.iter().take(5) {
         println!(
             "  {:4} XPUs = {} x {:3} | attainment {:5.1} % | {}",
