@@ -24,6 +24,11 @@
 //! * `traces_parse` — the Chrome-trace and JSONL exports of the live run
 //!   pass the strict JSON validators.
 //!
+//! Every timed sample sums at least [`MIN_SAMPLE_S`] of one variant's runs
+//! (sized from the fastest warm untraced run), and the variants alternate
+//! run by run, so the gate compares real work rather than timer noise or a
+//! slow phase of a shared host.
+//!
 //! Set `RAGO_BENCH_QUICK=1` for the CI-friendly quick mode (smaller
 //! trace, same JSON shape). The bench refuses to write non-finite
 //! numbers.
@@ -33,12 +38,16 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rago_schema::{RouterPolicy, SequenceProfile};
 use rago_serving_sim::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
-use rago_serving_sim::faults::{ChaosEngine, ChaosReport, FaultEvent, FaultSchedule, ScaleDriver};
+use rago_serving_sim::faults::{ChaosEngine, FaultEvent, FaultSchedule, ScaleDriver};
+use rago_serving_sim::MetricsMode;
 use rago_telemetry::{
     export_chrome_trace, export_jsonl, validate_json, validate_jsonl, NullRecorder,
     TelemetryConfig, TraceRecorder,
 };
 use rago_workloads::{ArrivalProcess, TraceSpec};
+
+/// Shortest wall time of one timed sample, in seconds.
+const MIN_SAMPLE_S: f64 = 0.05;
 
 fn pipeline() -> PipelineSpec {
     PipelineSpec::new(
@@ -94,38 +103,29 @@ fn scenario(num_requests: usize) -> ChaosEngine {
     }]))
 }
 
-/// One timed sample: `reps` back-to-back runs (so a sample is long
-/// enough to dwarf timer and scheduler noise), returning the mean
-/// per-run seconds and the last report.
-fn sample<F: FnMut() -> ChaosReport>(reps: usize, run: &mut F) -> (f64, ChaosReport) {
+/// Runs `run` once, returning its wall seconds and its result.
+fn timed<T>(run: &mut impl FnMut() -> T) -> (f64, T) {
     let start = Instant::now();
-    let mut report = None;
-    for _ in 0..reps {
-        report = Some(run());
-    }
-    (
-        start.elapsed().as_secs_f64() / reps as f64,
-        report.expect("at least one rep"),
-    )
+    let out = run();
+    (start.elapsed().as_secs_f64(), out)
 }
 
 fn bench_telemetry_json(_c: &mut Criterion) {
     let quick = rago_bench::quick_mode();
     let num_requests = if quick { 2_000 } else { 20_000 };
-    let (trials, reps) = if quick { (7, 8) } else { (7, 2) };
+    let trials = 7;
     let reqs = requests(num_requests);
     let engine = scenario(num_requests);
 
     // ---- Timings: untraced vs null-recorded vs live capture ----
-    // Samples are interleaved so slow drift (thermal, scheduler) hits
-    // every variant equally; the best sample per variant is compared.
     let mut run_untraced = || engine.run(reqs.clone());
-    let mut run_nullrec = || engine.run_traced(reqs.clone(), &mut NullRecorder);
+    let mut run_nullrec =
+        || engine.run_traced(reqs.clone(), &MetricsMode::Exact, &mut NullRecorder);
     let live_engine = scenario(num_requests).with_telemetry(TelemetryConfig::full(0.25));
     let mut events_captured = 0usize;
     let mut run_live = || {
         let mut rec = TraceRecorder::new(TelemetryConfig::full(0.25));
-        let report = live_engine.run_traced(reqs.clone(), &mut rec);
+        let report = live_engine.run_traced(reqs.clone(), &MetricsMode::Exact, &mut rec);
         events_captured = rec.len();
         report
     };
@@ -133,18 +133,43 @@ fn bench_telemetry_json(_c: &mut Criterion) {
     let mut untraced = run_untraced();
     let mut nullrec = run_nullrec();
     let mut live = run_live();
+    // Size the samples from the fastest of three warm untraced runs (the
+    // fastest variant). Run times on a shared host swing by half, so the
+    // target is twice the minimum: no sample falls short of it.
+    let one_run_s = (0..3)
+        .map(|_| timed(&mut run_untraced).0)
+        .fold(f64::INFINITY, f64::min);
+    let reps = ((2.0 * MIN_SAMPLE_S / one_run_s.max(1e-9)).ceil() as usize).max(1);
+    // Each trial runs `reps` rounds of untraced, null-recorded and live
+    // back to back, so a slow phase of the host hits every variant alike;
+    // the order rotates every round, so no variant always runs first or
+    // right after the allocation-heavy live run. A variant's sample is its
+    // mean run time over the trial; the best sample per variant is
+    // compared.
     let (mut untraced_best_s, mut nullrec_best_s, mut live_best_s) =
         (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..trials {
-        let (t, r) = sample(reps, &mut run_untraced);
-        untraced_best_s = untraced_best_s.min(t);
-        untraced = r;
-        let (t, r) = sample(reps, &mut run_nullrec);
-        nullrec_best_s = nullrec_best_s.min(t);
-        nullrec = r;
-        let (t, r) = sample(reps, &mut run_live);
-        live_best_s = live_best_s.min(t);
-        live = r;
+        let mut spent = [0.0f64; 3];
+        for round in 0..reps {
+            for slot in 0..3 {
+                let variant = (round + slot) % 3;
+                let (t, r) = match variant {
+                    0 => timed(&mut run_untraced),
+                    1 => timed(&mut run_nullrec),
+                    _ => timed(&mut run_live),
+                };
+                spent[variant] += t;
+                match variant {
+                    0 => untraced = r,
+                    1 => nullrec = r,
+                    _ => live = r,
+                }
+            }
+        }
+        let reps = reps as f64;
+        untraced_best_s = untraced_best_s.min(spent[0] / reps);
+        nullrec_best_s = nullrec_best_s.min(spent[1] / reps);
+        live_best_s = live_best_s.min(spent[2] / reps);
     }
 
     // ---- Flag 1: disabled (and even live) recording is inert ----
@@ -178,7 +203,8 @@ fn bench_telemetry_json(_c: &mut Criterion) {
 
     let events_per_request = events_captured as f64 / num_requests as f64;
     println!(
-        "telemetry overhead over {num_requests} requests (best of {trials}): \
+        "telemetry overhead over {num_requests} requests (best of {trials} samples \
+         of {reps} runs): \
          untraced {untraced_best_s:.4}s, null-recorded {nullrec_best_s:.4}s \
          ({:+.2}%), live {live_best_s:.4}s ({:+.2}%, {events_captured} events, \
          {events_per_request:.1}/request)",
@@ -189,6 +215,7 @@ fn bench_telemetry_json(_c: &mut Criterion) {
     let json = format!(
         "{{\n  \"bench\": \"telemetry_overhead\",\n  \
          \"num_requests\": {num_requests},\n  \"trials\": {trials},\n  \
+         \"reps_per_sample\": {reps},\n  \
          \"untraced_best_s\": {untraced_best_s:.6},\n  \
          \"null_recorded_best_s\": {nullrec_best_s:.6},\n  \
          \"live_best_s\": {live_best_s:.6},\n  \

@@ -40,8 +40,8 @@ use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
 use rago_cache::CacheCounters;
 use rago_schema::{HistogramSpec, KvTransferModel, RouterPolicy, SequenceProfile, SloTarget};
-use rago_serving_sim::cluster::ClusterEngine;
 use rago_serving_sim::engine::{PipelineSpec, ServingReport};
+use rago_serving_sim::faults::{ChaosEngine, ScaleDriver};
 use rago_serving_sim::pools::DisaggEngine;
 use rago_serving_sim::{MetricsMode, StreamingConfig};
 use rago_workloads::{ArrivalProcess, RateSegment, TraceSpec};
@@ -319,10 +319,13 @@ pub(crate) fn search_min_replicas(
     let mut scores: BTreeMap<u32, ProbeScore> = BTreeMap::new();
     let mut probe = |replicas: u32| -> ProbeScore {
         *scores.entry(replicas).or_insert_with(|| {
-            let report =
-                ClusterEngine::homogeneous(spec.clone(), replicas_usize(replicas), options.router)
-                    .run_trace_with_mode(trace, &mode);
-            ProbeScore::of(&report.merged, slo)
+            let report = ChaosEngine::new(
+                spec.clone(),
+                options.router,
+                ScaleDriver::Static { replicas },
+            )
+            .run_trace_with_mode(trace, &mode);
+            ProbeScore::of(&report.fleet.merged, slo)
         })
     };
 
@@ -781,9 +784,13 @@ mod tests {
         .generate();
         let (scan, exact) = (1..=options.max_replicas)
             .map(|n| {
-                let report =
-                    ClusterEngine::homogeneous(spec.clone(), replicas_usize(n), options.router)
-                        .run_trace(&trace);
+                let report = ChaosEngine::new(
+                    spec.clone(),
+                    options.router,
+                    ScaleDriver::Static { replicas: n },
+                )
+                .run_trace(&trace)
+                .fleet;
                 (n, report)
             })
             .find(|(_, report)| report.attainment(&slo) >= slo.attainment)

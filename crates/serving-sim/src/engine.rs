@@ -603,8 +603,9 @@ pub struct ServingMetrics {
     /// bench divides it by wall-clock time for its events/sec figure.
     pub events_processed: u64,
     /// Requests shed by fleet-level admission control before reaching a
-    /// replica. Always zero for plain engine and cluster runs; the chaos
-    /// path ([`crate::faults`]) patches it into merged and per-class rows.
+    /// replica. Always zero for plain engine runs and fleets without an
+    /// [`crate::faults::AdmissionConfig`]; the fleet engine
+    /// ([`crate::faults`]) patches it into merged and per-class rows.
     /// Shed requests are excluded from `requests`/`completed` and from every
     /// latency distribution — they never executed.
     #[serde(default)]
@@ -697,21 +698,35 @@ impl ServingReport {
     /// For a streaming report, panics unless `slo` is the SLO that was
     /// configured in the run's [`crate::sink::StreamingConfig`].
     pub fn attainment(&self, slo: &SloTarget) -> f64 {
-        if let Some(streamed) = &self.streamed {
-            if self.metrics.requests == 0 {
-                return 1.0;
-            }
-            return streamed.run_met(slo) as f64 / self.metrics.requests as f64;
-        }
-        if self.timelines.is_empty() {
+        let total = match self.streamed {
+            Some(_) => self.metrics.requests,
+            None => self.timelines.len(),
+        };
+        if total == 0 {
             return 1.0;
         }
-        let met = self
-            .timelines
-            .iter()
-            .filter(|t| slo.meets(t.ttft_s(), t.tpot_s()))
-            .count();
-        met as f64 / self.timelines.len() as f64
+        self.slo_met(slo) as f64 / total as f64
+    }
+
+    /// How many of the run's requests meet both latency targets of `slo`:
+    /// counted over the timelines of an exact report, read from the online
+    /// [`crate::sink::StreamedScores`] of a streaming one. The run-level
+    /// counting primitive behind [`Self::attainment`] and
+    /// [`Self::goodput_rps`] (see [`Self::class_slo_counts`] for one class).
+    ///
+    /// # Panics
+    ///
+    /// For a streaming report, panics unless `slo` is the SLO that was
+    /// configured in the run's [`crate::sink::StreamingConfig`].
+    pub fn slo_met(&self, slo: &SloTarget) -> usize {
+        match &self.streamed {
+            Some(streamed) => streamed.run_met(slo) as usize,
+            None => self
+                .timelines
+                .iter()
+                .filter(|t| slo.meets(t.ttft_s(), t.tpot_s()))
+                .count(),
+        }
     }
 
     /// The distinct workload-class tags of the run, ascending.
@@ -795,15 +810,7 @@ impl ServingReport {
         if self.metrics.serving_duration_s <= 0.0 {
             return 0.0;
         }
-        let met = if let Some(streamed) = &self.streamed {
-            streamed.run_met(slo) as usize
-        } else {
-            self.timelines
-                .iter()
-                .filter(|t| slo.meets(t.ttft_s(), t.tpot_s()))
-                .count()
-        };
-        met as f64 / self.metrics.serving_duration_s
+        self.slo_met(slo) as f64 / self.metrics.serving_duration_s
     }
 
     /// Whether the run meets `slo` including its attainment requirement.
@@ -2080,31 +2087,54 @@ impl ReplicaSim {
     /// which [`ReplicaSim::advance_before`] leaves unprocessed; the crash
     /// wins that tie by construction, and the chaos goldens pin it.
     pub(crate) fn dismantle(self) -> (Vec<RequestTimeline>, Vec<EngineRequest>, SimAccumulators) {
-        let arena = &self.arena;
-        let mut timelines = Vec::new();
+        let mut sink = crate::sink::ExactSink {
+            timelines: Vec::with_capacity(self.requests.len()),
+            acc: SimAccumulators::default(),
+        };
+        let (in_flight, acc) = self.dismantle_into(&mut sink);
+        (sink.timelines, in_flight, acc)
+    }
+
+    /// [`ReplicaSim::dismantle`] feeding the completed requests to `sink`
+    /// (once each, in injection order) instead of building timelines.
+    pub(crate) fn dismantle_into<S: crate::sink::MetricsSink + ?Sized>(
+        self,
+        sink: &mut S,
+    ) -> (Vec<EngineRequest>, SimAccumulators) {
         let mut in_flight = Vec::new();
-        for (r, req) in self.requests.iter().enumerate() {
-            let completion_s = arena.completion_s[r];
-            if completion_s == UNSET {
-                in_flight.push(*req);
-                continue;
+        for r in 0..self.requests.len() {
+            if !self.emit_outcome(r, sink) {
+                in_flight.push(self.requests[r]);
             }
-            let first_token_s = arena.first_token_s[r];
-            debug_assert!(first_token_s != UNSET, "completed without a first token");
-            timelines.push(RequestTimeline {
-                id: req.id,
-                arrival_s: req.arrival_s,
-                stage_starts_s: arena.stage_starts(r).to_vec(),
-                stage_ends_s: arena.stage_ends(r).to_vec(),
-                class: req.class,
-                decode_join_s: arena.decode_join_s[r],
-                first_token_s,
-                completion_s,
-                queueing_s: arena.queueing_s[r],
-                decode_tokens: req.decode_tokens,
-            });
         }
-        (timelines, in_flight, self.acc)
+        (in_flight, self.acc)
+    }
+
+    /// Feeds request `r`'s outcome to `sink` if it has completed; returns
+    /// whether it had. Outcomes borrow the arena's stage slices, so this
+    /// allocates nothing; what the sink retains is its own choice.
+    fn emit_outcome<S: crate::sink::MetricsSink + ?Sized>(&self, r: usize, sink: &mut S) -> bool {
+        let arena = &self.arena;
+        let completion_s = arena.completion_s[r];
+        if completion_s == UNSET {
+            return false;
+        }
+        let first_token_s = arena.first_token_s[r];
+        debug_assert!(first_token_s != UNSET, "completed without a first token");
+        let req = &self.requests[r];
+        sink.record(&crate::sink::RequestOutcome {
+            id: req.id,
+            class: req.class,
+            arrival_s: req.arrival_s,
+            stage_starts_s: arena.stage_starts(r),
+            stage_ends_s: arena.stage_ends(r),
+            decode_join_s: arena.decode_join_s[r],
+            first_token_s,
+            completion_s,
+            queueing_s: arena.queueing_s[r],
+            decode_tokens: req.decode_tokens,
+        });
+        true
     }
 
     /// Drains the prefill-handoff records accumulated since the last call:
@@ -2136,8 +2166,7 @@ impl ReplicaSim {
     }
 
     /// Feeds every completed request to `sink`, once each, in injection
-    /// (= arrival) order. Outcomes borrow the arena's stage slices, so the
-    /// walk allocates nothing; what the sink retains is its own choice.
+    /// (= arrival) order, allocating nothing.
     ///
     /// # Panics
     ///
@@ -2148,30 +2177,15 @@ impl ReplicaSim {
             self.queue.is_empty(),
             "drain_outcomes() requires the event queue to be drained"
         );
-        let arena = &self.arena;
-        for (r, req) in self.requests.iter().enumerate() {
-            let first_token_s = arena.first_token_s[r];
-            let completion_s = arena.completion_s[r];
+        for r in 0..self.requests.len() {
+            // The event loop drains the queue only after every request has
+            // generated its final token; a request without a completion
+            // would be an engine bug, so fail loudly rather than emit a
+            // silently wrong report.
             assert!(
-                first_token_s != UNSET,
-                "every request emits a first token before the engine finishes"
-            );
-            assert!(
-                completion_s != UNSET,
+                self.emit_outcome(r, sink),
                 "every request completes before the engine finishes"
             );
-            sink.record(&crate::sink::RequestOutcome {
-                id: req.id,
-                class: req.class,
-                arrival_s: req.arrival_s,
-                stage_starts_s: arena.stage_starts(r),
-                stage_ends_s: arena.stage_ends(r),
-                decode_join_s: arena.decode_join_s[r],
-                first_token_s,
-                completion_s,
-                queueing_s: arena.queueing_s[r],
-                decode_tokens: req.decode_tokens,
-            });
         }
     }
 
@@ -2194,47 +2208,18 @@ impl ReplicaSim {
             self.queue.is_empty(),
             "finish() requires the event queue to be drained"
         );
-        let arena = &self.arena;
-        let timelines: Vec<RequestTimeline> = self
-            .requests
-            .iter()
-            .enumerate()
-            .map(|(r, req)| {
-                // The event loop drains the queue only after every request
-                // has generated its final token; a request without a first
-                // token or completion would be an engine bug, so fail loudly
-                // rather than emit a silently wrong report.
-                let first_token_s = arena.first_token_s[r];
-                let completion_s = arena.completion_s[r];
-                assert!(
-                    first_token_s != UNSET,
-                    "every request emits a first token before the engine finishes"
-                );
-                assert!(
-                    completion_s != UNSET,
-                    "every request completes before the engine finishes"
-                );
-                RequestTimeline {
-                    id: req.id,
-                    arrival_s: req.arrival_s,
-                    stage_starts_s: arena.stage_starts(r).to_vec(),
-                    stage_ends_s: arena.stage_ends(r).to_vec(),
-                    class: req.class,
-                    decode_join_s: arena.decode_join_s[r],
-                    first_token_s,
-                    completion_s,
-                    queueing_s: arena.queueing_s[r],
-                    decode_tokens: req.decode_tokens,
-                }
-            })
-            .collect();
-        (timelines, self.acc)
+        let (timelines, in_flight, acc) = self.dismantle();
+        assert!(
+            in_flight.is_empty(),
+            "every request completes before the engine finishes"
+        );
+        (timelines, acc)
     }
 }
 
 /// Builds a [`ServingReport`] from completed timelines and the simulation
 /// accumulators. Shared by [`ServingEngine::run`] and the fleet-level
-/// merge in [`crate::cluster`], so single-engine and fleet metrics are
+/// merge in [`crate::faults`], so single-engine and fleet metrics are
 /// computed by one definition. The per-class rows reuse the same metric
 /// computation over each class's timeline subset; for a run with a single
 /// distinct class the row is the aggregate metrics verbatim, which is what

@@ -1,43 +1,58 @@
-//! Fault injection, SLO-aware admission control, and plan-driven scaling.
+//! The fleet engine: replicas behind a router, sized by a scale driver,
+//! degraded by faults, and guarded by SLO-aware admission control.
 //!
-//! The fleet engines in [`crate::cluster`] and [`crate::autoscaler`] assume
-//! replicas never fail. Real fleets lose replicas mid-peak — crashes, slow
-//! nodes, spot preemptions — and the serving literature the roadmap tracks
-//! (DistServe's SLO-attained goodput, Splitwise's provisioning headroom)
-//! presumes the fleet degrades *proportionally* when that happens. This
-//! module makes that claim testable:
+//! [`ChaosEngine`] is the one fleet loop for collocated replicas (the
+//! disaggregated prefill/decode pools live in [`crate::pools`]). It routes
+//! one arrival stream over the routable replicas with a
+//! [`rago_schema::RouterPolicy`] (state-aware: every live replica is
+//! advanced to just before each arrival, so the router sees live queue and
+//! decode state) and merges the per-replica runs into one [`ChaosReport`].
+//! What varies between runs is configuration, not code:
 //!
+//! * **[`ScaleDriver`]** — how capacity follows the trace:
+//!   [`ScaleDriver::Static`] holds a fixed fleet (homogeneous, or one
+//!   pipeline per replica via [`ChaosEngine::heterogeneous`]);
+//!   [`ScaleDriver::Reactive`] evaluates an [`AutoscalerPolicy`] at its
+//!   interval (scale-out on queue depth or recent attainment, warm-up,
+//!   cooldown-gated scale-in with drain); [`ScaleDriver::Predictive`]
+//!   executes a precomputed [`ScalingPlan`] (e.g. derived from
+//!   `plan_capacity_profile`'s rate-profile schedule in `rago-core`) that
+//!   provisions capacity *before* the load arrives.
 //! * **[`FaultSchedule`]** — a deterministic list of [`FaultEvent`]s
 //!   (explicit or seeded): replica crashes (in-flight requests re-queued or
 //!   failed per [`CrashPolicy`], restart after a configurable delay with
-//!   **cold caches**), straggler onset/recovery (all stage and decode
-//!   latencies scaled by a factor), and spot preemption with advance notice
-//!   (the replica drains during the notice window, then dies).
+//!   **cold caches** on the dead replica's pipeline), straggler
+//!   onset/recovery (all stage and decode latencies scaled by a factor),
+//!   and spot preemption with advance notice (the replica drains during
+//!   the notice window, then dies). Empty by default.
 //! * **[`AdmissionConfig`]** — fleet-level load shedding with per-class
 //!   priorities: when the mean queue depth per routable replica exceeds a
 //!   class's threshold, the arrival is shed instead of routed. Higher
 //!   priority ⇒ higher threshold ⇒ shed later, so best-effort traffic
 //!   absorbs the degradation. Shed counts are threaded into the merged
-//!   [`crate::ServingMetrics::shed`] and the per-class rows.
-//! * **[`ScaleDriver`]** — how capacity follows the trace: a fixed fleet, the
-//!   reactive [`AutoscalerPolicy`], or a **predictive** [`ScalingPlan`]
-//!   (e.g. derived from `plan_capacity_profile`'s rate-profile schedule in
-//!   `rago-core`) that provisions capacity *before* the load arrives.
-//! * **[`ChaosReport`]** — the ordinary fleet report plus a [`FaultReport`]
-//!   (requests lost/shed/retried, disruption log) and recovery metrics:
-//!   windowed attainment timelines, time-to-reattainment, and goodput-dip
-//!   area per disruption.
+//!   [`crate::ServingMetrics::shed`] and the per-class rows. Off by default.
+//! * **[`crate::sink::MetricsMode`]** — a run argument
+//!   ([`ChaosEngine::run_with_mode`]). Exact runs retain every request
+//!   timeline and the `(request, replica)` assignment log. Streaming runs
+//!   keep `O(buckets)` metric state per replica: each replica feeds its
+//!   completed requests into its own [`crate::sink::HistogramSink`] when
+//!   it drains — or when it dies, so a faulted run holds no timelines
+//!   either — and the sinks merge in slot-index order.
 //!
+//! The [`ChaosReport`] carries the merged [`FleetReport`] (one row per slot
+//! ever provisioned), the scaling history and provisioned replica-seconds,
+//! a [`FaultReport`] (requests lost/shed/retried, disruption log), and —
+//! on exact runs — windowed attainment timelines, time-to-reattainment and
+//! goodput-dip area per disruption.
+//!
+//! A one-replica static fleet reproduces
+//! [`ServingEngine::run`](crate::engine::ServingEngine::run) exactly —
+//! event order, timelines, and metrics (`tests/proptest_cluster.rs`).
 //! Fault events ride a dedicated lane of the event queue
 //! (`crate::equeue`) that orders **before** same-instant arrivals and
 //! scheduled completions, so a fault landing exactly at an arrival instant
 //! is in force before that request is processed — the tie-break is pinned
 //! by `tests/golden/fault_*.json`.
-//!
-//! With an empty schedule, no admission control, and the reactive driver,
-//! [`ChaosEngine`] is **bit-identical** to [`crate::AutoscaleEngine`] (and
-//! with a static driver, to [`crate::ClusterEngine`]) — the degenerate pins
-//! in `tests/golden_regression.rs` hold this exact.
 //!
 //! # Examples
 //!
@@ -84,11 +99,12 @@
 //! ```
 
 use crate::autoscaler::{AutoscalerPolicy, ReplicaLifetime, ScalingAction, ScalingEvent};
-use crate::cluster::{route_pick, FleetReport, LoadImbalance, ReplicaReport};
+use crate::cluster::{route_pick, FleetReport, LoadImbalance, ReplicaObs, ReplicaReport};
 use crate::engine::{
     build_report, compute_metrics_for, sort_by_arrival, ClassMetrics, EngineRequest, PipelineSpec,
     ReplicaSim, RequestTimeline, SimAccumulators,
 };
+use crate::sink::{HistogramSink, MetricsMode};
 use rago_schema::{RouterPolicy, SloTarget};
 use rago_workloads::Trace;
 use rand::rngs::StdRng;
@@ -240,8 +256,7 @@ impl FaultSchedule {
         Self { events }
     }
 
-    /// The empty schedule: no faults are ever injected, and the run is
-    /// bit-identical to the fault-free engines.
+    /// The empty schedule: no faults are ever injected.
     pub fn empty() -> Self {
         Self::default()
     }
@@ -540,9 +555,9 @@ pub enum ScaleDriver {
         /// Fleet size (at least 1).
         replicas: u32,
     },
-    /// The reactive policy of [`crate::AutoscaleEngine`], evaluated at its
-    /// interval — with an empty fault schedule and no admission control the
-    /// run is bit-identical to that engine.
+    /// A reactive [`AutoscalerPolicy`], evaluated at its interval: scale
+    /// out on queue depth (or recent attainment), scale in after a
+    /// cooldown, hold new replicas out of the router while they warm up.
     Reactive(AutoscalerPolicy),
     /// A feed-forward [`ScalingPlan`]: capacity changes at the plan's step
     /// times regardless of observed load.
@@ -617,7 +632,7 @@ pub struct ClassShed {
 /// Fault-path accounting of one chaos run. Request conservation holds
 /// exactly: `injected == completed + shed + failed`
 /// (`tests/proptest_faults.rs`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultReport {
     /// Requests offered to the fleet.
     pub injected: usize,
@@ -691,10 +706,9 @@ pub struct RecoveryMetrics {
 /// history, plus fault accounting and recovery analysis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChaosReport {
-    /// The merged fleet report — same definitions as
-    /// [`crate::ClusterEngine`] / [`crate::AutoscaleEngine`] runs, with one
-    /// row per fleet slot ever provisioned (dead slots report what they
-    /// completed before dying). [`crate::ServingMetrics::shed`] carries the
+    /// The merged fleet report — the same metric definitions as a
+    /// single-engine run, with one row per fleet slot ever provisioned
+    /// (dead slots report what they completed before dying). [`crate::ServingMetrics::shed`] carries the
     /// admission-control counts in the merged and per-class rows.
     pub fleet: FleetReport,
     /// Every *policy* scaling decision, in time order (restarts appear in
@@ -730,25 +744,24 @@ impl ChaosReport {
     /// divided by all injected requests, so shed and failed requests count
     /// against the fleet (1.0 when nothing was injected). The plain
     /// [`FleetReport::attainment`] scores completions only.
+    ///
+    /// # Panics
+    ///
+    /// For a streaming report, panics unless `slo` is the SLO the run
+    /// counted (see [`ServingReport::slo_met`](crate::ServingReport::slo_met)).
     pub fn offered_attainment(&self, slo: &SloTarget) -> f64 {
         if self.fault.injected == 0 {
             return 1.0;
         }
-        let met = self
-            .fleet
-            .merged
-            .timelines
-            .iter()
-            .filter(|t| slo.meets(t.ttft_s(), t.tpot_s()))
-            .count();
-        met as f64 / self.fault.injected as f64
+        self.fleet.merged.slo_met(slo) as f64 / self.fault.injected as f64
     }
 
     /// The windowed attainment timeline: completions bucketed by completion
     /// time into `window_s`-wide windows from `t = 0` to the run's
     /// makespan. Empty windows read zero attainment (see
     /// [`AttainmentWindow::attainment`]). Returns an empty vector for an
-    /// empty run or a non-positive window.
+    /// empty run, a non-positive window, or a streaming report (it keeps no
+    /// completion times to bucket).
     pub fn attainment_timeline(&self, slo: &SloTarget, window_s: f64) -> Vec<AttainmentWindow> {
         if !window_s.is_finite() || window_s <= 0.0 || self.fleet.merged.timelines.is_empty() {
             return Vec::new();
@@ -790,7 +803,13 @@ impl ChaosReport {
     /// target*, and measures reattainment from the disruption to the first
     /// at-target window after that. A disruption the fleet absorbs without
     /// ever dipping reports `reattainment_s = Some(0.0)` and a zero dip.
+    ///
+    /// Returns an empty vector for a streaming report: it has no timeline
+    /// to measure, and an absent dip must not read as "never dipped".
     pub fn recovery(&self, slo: &SloTarget, window_s: f64) -> Vec<RecoveryMetrics> {
+        if self.fleet.merged.streamed.is_some() {
+            return Vec::new();
+        }
         let timeline = self.attainment_timeline(slo, window_s);
         self.fault
             .disruptions
@@ -827,11 +846,13 @@ impl ChaosReport {
     }
 }
 
-/// One fleet slot of the chaos engine. `sim` is `None` once the replica is
-/// dead (crashed or killed); its pre-death results are parked until the
-/// merge.
+/// One fleet slot. `sim` is `None` once the replica is dead (crashed or
+/// killed); what it finished before dying is already parked with the run.
 struct ChaosSlot {
     sim: Option<ReplicaSim>,
+    /// Index of the slot's pipeline in the engine's spec list; a restart
+    /// inherits its dead slot's.
+    pipeline: usize,
     provisioned_s: f64,
     routable_s: f64,
     decommissioned_s: Option<f64>,
@@ -843,18 +864,6 @@ struct ChaosSlot {
 }
 
 impl ChaosSlot {
-    fn fresh(sim: ReplicaSim, provisioned_s: f64, routable_s: f64) -> Self {
-        Self {
-            sim: Some(sim),
-            provisioned_s,
-            routable_s,
-            decommissioned_s: None,
-            retired_at: None,
-            assigned: 0,
-            completion_cursor: 0,
-        }
-    }
-
     fn alive(&self) -> bool {
         self.sim.is_some()
     }
@@ -864,6 +873,11 @@ impl ChaosSlot {
     }
 }
 
+/// The simulation of a slot known to be routable (hence alive).
+fn live(slot: &ChaosSlot) -> &ReplicaSim {
+    slot.sim.as_ref().expect("routable slots are alive")
+}
+
 /// One pending fault-lane action of the run's agenda.
 #[derive(Debug, Clone, Copy)]
 enum Action {
@@ -871,7 +885,7 @@ enum Action {
     Slowdown { slot: usize, factor: f64 },
     PreemptNotice { slot: usize, notice_s: f64 },
     Kill { slot: usize },
-    Restart,
+    Restart { pipeline: usize },
 }
 
 struct Agendum {
@@ -880,12 +894,13 @@ struct Agendum {
     action: Action,
 }
 
-/// The chaos-ready fleet engine: replicas of one pipeline behind a router,
-/// sized by a [`ScaleDriver`], degraded by a [`FaultSchedule`], and guarded
-/// by optional [`AdmissionConfig`] load shedding. See the module docs.
+/// The fleet engine: replicas behind a router, sized by a [`ScaleDriver`],
+/// degraded by a [`FaultSchedule`], and guarded by optional
+/// [`AdmissionConfig`] load shedding. See the module docs.
 #[derive(Debug, Clone)]
 pub struct ChaosEngine {
-    spec: PipelineSpec,
+    /// One pipeline per initial slot; scale-outs run the first.
+    specs: Vec<PipelineSpec>,
     router: RouterPolicy,
     driver: ScaleDriver,
     faults: FaultSchedule,
@@ -895,8 +910,8 @@ pub struct ChaosEngine {
 }
 
 impl ChaosEngine {
-    /// A chaos engine with no faults and no admission control — in that
-    /// configuration the run is bit-identical to the fault-free engines.
+    /// A fleet of `spec` replicas behind `router`, sized by `driver`, with
+    /// no faults and no admission control.
     ///
     /// # Panics
     ///
@@ -904,8 +919,26 @@ impl ChaosEngine {
     /// policy).
     pub fn new(spec: PipelineSpec, router: RouterPolicy, driver: ScaleDriver) -> Self {
         driver.assert_valid();
+        let specs = vec![spec; driver.initial_replicas() as usize];
+        Self::from_parts(specs, router, driver)
+    }
+
+    /// A static fleet with one (possibly different) pipeline per replica —
+    /// e.g. distinct schedules from a Pareto frontier serving side by side.
+    /// A crashed replica restarts on its own pipeline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `specs` is empty.
+    pub fn heterogeneous(specs: Vec<PipelineSpec>, router: RouterPolicy) -> Self {
+        assert!(!specs.is_empty(), "a fleet needs at least one replica");
+        let replicas = u32::try_from(specs.len()).expect("fleet size fits in u32");
+        Self::from_parts(specs, router, ScaleDriver::Static { replicas })
+    }
+
+    fn from_parts(specs: Vec<PipelineSpec>, router: RouterPolicy, driver: ScaleDriver) -> Self {
         Self {
-            spec,
+            specs,
             router,
             driver,
             faults: FaultSchedule::empty(),
@@ -951,51 +984,75 @@ impl ChaosEngine {
         &self.driver
     }
 
-    fn new_sim(&self, track_probes: bool) -> ReplicaSim {
-        let mut sim = ReplicaSim::new(self.spec.clone());
+    fn new_sim(&self, pipeline: usize, track_probes: bool) -> ReplicaSim {
+        let mut sim = ReplicaSim::new(self.specs[pipeline].clone());
         sim.track_completions = self.driver.track_completions();
         sim.track_probes = track_probes;
         sim
     }
 
-    /// Runs a generated trace through the chaos fleet.
+    /// Runs a generated trace through the fleet, exact metrics.
     pub fn run_trace(&self, trace: &Trace) -> ChaosReport {
-        self.run(trace.requests.iter().map(EngineRequest::from).collect())
+        self.run_trace_with_mode(trace, &MetricsMode::Exact)
     }
 
-    /// Runs the fleet over `requests` (sorted by arrival time internally).
+    /// [`Self::run_trace`] with an explicit metrics pipeline.
+    pub fn run_trace_with_mode(&self, trace: &Trace, mode: &MetricsMode) -> ChaosReport {
+        self.run_with_mode(
+            trace.requests.iter().map(EngineRequest::from).collect(),
+            mode,
+        )
+    }
+
+    /// Runs the fleet over `requests` (sorted by arrival time internally),
+    /// exact metrics.
     ///
     /// The run interleaves four chronological streams under one clock, with
     /// a pinned tie-break at equal instants: **fault actions** first, then
     /// **pending-request flushes** (requests that arrived while no replica
     /// was routable), then **policy ticks / plan steps**, then **arrivals**
     /// — a fault or scaling decision at an arrival's instant is in force
-    /// before that arrival is routed, exactly as in
-    /// [`crate::AutoscaleEngine::run`]. No policy scaling happens after the
-    /// last arrival, but faults (and restarts) keep firing through the
-    /// drain.
+    /// before that arrival is routed. Before each arrival every live
+    /// replica is advanced to just before that instant and the router
+    /// inspects the routable ones. No policy scaling happens after the last
+    /// arrival, but faults (and restarts) keep firing through the drain,
+    /// after which the surviving replicas run to completion independently.
     ///
     /// # Panics
     ///
     /// Panics if any arrival time is negative or non-finite, or any request
     /// generates zero tokens.
     pub fn run(&self, requests: Vec<EngineRequest>) -> ChaosReport {
-        self.run_recorded(requests, &mut rago_telemetry::NullRecorder)
-            .0
+        self.run_with_mode(requests, &MetricsMode::Exact)
     }
 
-    /// [`Self::run`] recording a trace into `rec`: router picks (including
-    /// crash-requeue re-picks) live during routing; admission sheds, fault
-    /// disruptions, scaling decisions, replica lifecycle instants, and the
-    /// per-replica fleet observability derived post-hoc from the ledgers
-    /// the report already carries. A [`rago_telemetry::NullRecorder`]
-    /// makes this exactly [`Self::run`].
+    /// [`Self::run`] with an explicit metrics pipeline. Streaming mode
+    /// keeps `O(buckets)` metric state per replica: the report holds no
+    /// timelines and no assignment log, and its SLO accessors answer only
+    /// for the SLOs configured in the [`crate::sink::StreamingConfig`]
+    /// (the scaling history, lifetimes and fault ledger are retained either
+    /// way — they are `O(events + replicas)`).
+    pub fn run_with_mode(&self, requests: Vec<EngineRequest>, mode: &MetricsMode) -> ChaosReport {
+        self.run_traced(requests, mode, &mut rago_telemetry::NullRecorder)
+    }
+
+    /// [`Self::run_with_mode`] recording a trace into `rec`: router picks
+    /// (including crash-requeue re-picks) live during routing; per-replica
+    /// request spans, cache probes, load gauges (at the
+    /// [`Self::with_telemetry`] cadence) and self-profiling counters,
+    /// scaling decisions, replica lifecycle instants, a routable-replica
+    /// gauge, admission sheds and fault disruptions derived post-hoc from
+    /// the ledgers the report already carries. Spans and gauges need
+    /// timelines, so streaming traces carry the rest only. A
+    /// [`rago_telemetry::NullRecorder`] makes this exactly
+    /// [`Self::run_with_mode`].
     pub fn run_traced<R: rago_telemetry::Recorder>(
         &self,
         requests: Vec<EngineRequest>,
+        mode: &MetricsMode,
         rec: &mut R,
     ) -> ChaosReport {
-        let (report, obs) = self.run_recorded(requests, rec);
+        let (report, obs) = Run::new(self, mode, &mut *rec).play(requests);
         if R::ENABLED {
             let end_s = report.fleet.merged.metrics.makespan_s;
             crate::cluster::record_fleet_observability(
@@ -1018,7 +1075,7 @@ impl ChaosEngine {
         report
     }
 
-    /// Convenience wrapper: [`Self::run_traced`] with a
+    /// Convenience wrapper: an exact [`Self::run_traced`] with a
     /// [`rago_telemetry::TraceRecorder`] built from the engine's
     /// [`Self::with_telemetry`] config.
     pub fn run_telemetry(
@@ -1026,32 +1083,141 @@ impl ChaosEngine {
         requests: Vec<EngineRequest>,
     ) -> (ChaosReport, rago_telemetry::TraceRecorder) {
         let mut rec = rago_telemetry::TraceRecorder::new(self.telemetry.clone());
-        let report = self.run_traced(requests, &mut rec);
+        let report = self.run_traced(requests, &MetricsMode::Exact, &mut rec);
         (report, rec)
     }
+}
 
-    /// The shared chaos run body; the recorder sees router picks only
-    /// (everything else is derived from the returned ledgers).
-    fn run_recorded<R: rago_telemetry::Recorder>(
-        &self,
-        mut requests: Vec<EngineRequest>,
-        rec: &mut R,
-    ) -> (ChaosReport, Vec<crate::cluster::ReplicaObs>) {
-        sort_by_arrival(&mut requests);
-        let injected = requests.len();
-        let initial = self.driver.initial_replicas();
-        let mut slots: Vec<ChaosSlot> = (0..initial)
-            .map(|_| ChaosSlot::fresh(self.new_sim(R::ENABLED), 0.0, 0.0))
-            .collect();
-        let mut events: Vec<ScalingEvent> = Vec::new();
-        let mut assignments: Vec<(u64, usize)> = Vec::with_capacity(requests.len());
-        let mut round_robin_next = 0usize;
-        let mut last_action_s = f64::NEG_INFINITY;
-        let mut peak_provisioned = initial;
-        let mut min_provisioned = initial;
+/// One replica's finished share of a run: its completed requests in the
+/// run's metrics mode, plus the observability harvested when it stopped.
+struct Finished {
+    replica: usize,
+    done: Done,
+    obs: ReplicaObs,
+}
 
-        // Fault-lane state.
-        let mut agenda: Vec<Agendum> = self
+enum Done {
+    Exact(Vec<RequestTimeline>, SimAccumulators),
+    /// The sink's `acc` holds the replica's accumulators.
+    Streaming(Box<HistogramSink>),
+}
+
+/// Stops `replica` where it stands: its completed requests go into the
+/// mode's per-replica container, and its in-flight requests come back for
+/// the caller to re-queue or fail (none for a drained replica).
+fn retire(
+    replica: usize,
+    mut sim: ReplicaSim,
+    mode: &MetricsMode,
+) -> (Finished, Vec<EngineRequest>) {
+    let obs = ReplicaObs {
+        replica,
+        probes: sim.drain_probe_log(),
+        equeue: sim.equeue_stats(),
+    };
+    let (done, in_flight) = match mode {
+        MetricsMode::Exact => {
+            let (timelines, in_flight, acc) = sim.dismantle();
+            (Done::Exact(timelines, acc), in_flight)
+        }
+        MetricsMode::Streaming(config) => {
+            let mut sink = HistogramSink::new(config);
+            let (in_flight, acc) = sim.dismantle_into(&mut sink);
+            sink.acc = acc;
+            (Done::Streaming(Box::new(sink)), in_flight)
+        }
+    };
+    (Finished { replica, done, obs }, in_flight)
+}
+
+/// Runs every surviving replica to completion and retires it. The drain is
+/// the expensive leg (no routing interaction is left), so a multi-replica
+/// fleet drains in parallel; the caller re-orders by slot index, so every
+/// later step sees the serial order.
+fn drain_survivors(alive: Vec<(usize, ReplicaSim)>, mode: &MetricsMode) -> Vec<Finished> {
+    let drain = |(replica, mut sim): (usize, ReplicaSim)| {
+        sim.run_to_completion();
+        let (finished, in_flight) = retire(replica, sim, mode);
+        debug_assert!(in_flight.is_empty(), "a drained replica holds no work");
+        finished
+    };
+    if alive.len() > 1 {
+        alive
+            .into_iter()
+            .par_bridge()
+            .fold(Vec::new, |mut acc, item| {
+                acc.push(drain(item));
+                acc
+            })
+            .reduce(Vec::new, |mut a, mut b| {
+                a.append(&mut b);
+                a
+            })
+    } else {
+        alive.into_iter().map(drain).collect()
+    }
+}
+
+/// Mean queued and mean outstanding requests per routable replica — the
+/// one load observation admission control, the reactive policy and plan
+/// steps read. Zero for an empty routable set.
+fn fleet_load(slots: &[ChaosSlot], routable: &[usize]) -> (f64, f64) {
+    if routable.is_empty() {
+        return (0.0, 0.0);
+    }
+    let (mut queued, mut outstanding) = (0usize, 0usize);
+    for &i in routable {
+        let sim = live(&slots[i]);
+        queued += sim.queued();
+        outstanding += sim.outstanding();
+    }
+    let n = routable.len() as f64;
+    (queued as f64 / n, outstanding as f64 / n)
+}
+
+/// Live, non-decommissioned replicas — the "provisioned" count, with dead
+/// slots excluded.
+fn provisioned_count(slots: &[ChaosSlot]) -> u32 {
+    slots
+        .iter()
+        .filter(|s| s.alive() && s.decommissioned_s.is_none())
+        .count() as u32
+}
+
+/// The state of one fleet run. The recorder sees router picks only;
+/// everything else is derived from the returned ledgers.
+struct Run<'e, R> {
+    engine: &'e ChaosEngine,
+    mode: &'e MetricsMode,
+    rec: &'e mut R,
+    slots: Vec<ChaosSlot>,
+    /// Slot indices routable at the current instant, ascending — refilled
+    /// in place, so routing an arrival allocates nothing.
+    routable: Vec<usize>,
+    /// Results parked by replicas that died mid-run.
+    dead: Vec<Finished>,
+    agenda: Vec<Agendum>,
+    next_seq: u64,
+    /// Requests that arrived (or were re-queued) while nothing was
+    /// routable.
+    pending: VecDeque<EngineRequest>,
+    /// `(request id, slot)` per routing decision; exact mode only.
+    assignments: Vec<(u64, usize)>,
+    round_robin_next: usize,
+    events: Vec<ScalingEvent>,
+    last_action_s: f64,
+    peak_provisioned: u32,
+    min_provisioned: u32,
+    /// The fault ledger; `completed` and `shed_by_class` are filled in at
+    /// the merge.
+    fault: FaultReport,
+    shed_by_class: BTreeMap<u32, usize>,
+}
+
+impl<'e, R: rago_telemetry::Recorder> Run<'e, R> {
+    fn new(engine: &'e ChaosEngine, mode: &'e MetricsMode, rec: &'e mut R) -> Self {
+        let initial = engine.driver.initial_replicas();
+        let agenda: Vec<Agendum> = engine
             .faults
             .events()
             .iter()
@@ -1087,22 +1253,43 @@ impl ChaosEngine {
                 },
             })
             .collect();
-        let mut next_seq = agenda.len() as u64;
-        let mut pending: VecDeque<EngineRequest> = VecDeque::new();
-        let mut dead: BTreeMap<usize, DeadReplica> = BTreeMap::new();
-        let mut shed_total = 0usize;
-        let mut shed_by_class: BTreeMap<u32, usize> = BTreeMap::new();
-        let mut shed_log: Vec<ShedEvent> = Vec::new();
-        let mut failed = 0usize;
-        let mut retried = 0usize;
-        let mut faults_applied = 0usize;
-        let mut faults_skipped = 0usize;
-        let mut disruptions: Vec<Disruption> = Vec::new();
+        let mut run = Self {
+            engine,
+            mode,
+            rec,
+            slots: Vec::with_capacity(initial as usize),
+            routable: Vec::with_capacity(initial as usize),
+            dead: Vec::new(),
+            next_seq: agenda.len() as u64,
+            agenda,
+            pending: VecDeque::new(),
+            assignments: Vec::new(),
+            round_robin_next: 0,
+            events: Vec::new(),
+            last_action_s: f64::NEG_INFINITY,
+            peak_provisioned: initial,
+            min_provisioned: initial,
+            fault: FaultReport::default(),
+            shed_by_class: BTreeMap::new(),
+        };
+        for pipeline in 0..initial as usize {
+            run.provision(pipeline, 0.0, 0.0);
+        }
+        run
+    }
 
+    fn play(mut self, mut requests: Vec<EngineRequest>) -> (ChaosReport, Vec<ReplicaObs>) {
+        sort_by_arrival(&mut requests);
+        self.fault.injected = requests.len();
+        if matches!(self.mode, MetricsMode::Exact) {
+            self.assignments.reserve(requests.len());
+        }
+        let engine = self.engine;
+        let driver = &engine.driver;
         let last_arrival = requests.last().map(|r| r.arrival_s).unwrap_or(0.0);
         let mut next_req = 0usize;
         // Reactive tick state / predictive step cursor.
-        let mut next_tick = match &self.driver {
+        let mut next_tick = match driver {
             ScaleDriver::Reactive(policy) => policy.evaluation_interval_s,
             _ => f64::INFINITY,
         };
@@ -1110,21 +1297,22 @@ impl ChaosEngine {
 
         loop {
             let arrival_t = requests.get(next_req).map(|r| r.arrival_s);
-            let agenda_pick = agenda
+            let agenda_pick = self
+                .agenda
                 .iter()
                 .enumerate()
                 .min_by(|(_, a), (_, b)| a.t.total_cmp(&b.t).then(a.seq.cmp(&b.seq)))
                 .map(|(i, a)| (i, a.t));
-            let flush_t = if pending.is_empty() {
+            let flush_t = if self.pending.is_empty() {
                 None
             } else {
-                slots
+                self.slots
                     .iter()
                     .filter(|s| s.alive() && s.decommissioned_s.is_none())
                     .map(|s| s.routable_s)
                     .min_by(f64::total_cmp)
             };
-            let tick_t: Option<f64> = match &self.driver {
+            let tick_t: Option<f64> = match driver {
                 ScaleDriver::Reactive(_) => (next_tick <= last_arrival).then_some(next_tick),
                 ScaleDriver::Predictive(p) => p
                     .plan
@@ -1149,798 +1337,468 @@ impl ChaosEngine {
             match lane {
                 0 => {
                     let (idx, _) = agenda_pick.expect("lane 0 implies an agenda entry");
-                    let Agendum { action, .. } = agenda.remove(idx);
-                    self.apply_action(
-                        action,
-                        now,
-                        &mut slots,
-                        &mut agenda,
-                        &mut next_seq,
-                        &mut dead,
-                        &mut pending,
-                        &mut assignments,
-                        &mut round_robin_next,
-                        &mut peak_provisioned,
-                        &mut min_provisioned,
-                        &mut failed,
-                        &mut retried,
-                        &mut faults_applied,
-                        &mut faults_skipped,
-                        &mut disruptions,
-                        rec,
-                    );
+                    let Agendum { action, .. } = self.agenda.remove(idx);
+                    self.apply_action(action, now);
                 }
-                1 => {
-                    // Flush: a replica just became routable; drain pending
-                    // arrivals through admission + routing at this instant.
-                    advance_live(&mut slots, now);
-                    while let Some(req) = pending.pop_front() {
-                        let routable = routable_indices(&slots, now);
-                        if routable.is_empty() {
-                            // The candidate replica died in this same
-                            // instant: put the request back and wait again.
-                            pending.push_front(req);
-                            break;
+                1 => self.flush(now),
+                2 => {
+                    self.advance_to(now);
+                    match driver {
+                        ScaleDriver::Reactive(policy) => {
+                            next_tick += policy.evaluation_interval_s;
+                            self.evaluate_reactive(policy, now);
                         }
-                        if self.shed_check(
-                            &req,
-                            now,
-                            &slots,
-                            &routable,
-                            &mut shed_total,
-                            &mut shed_by_class,
-                            &mut shed_log,
-                        ) {
-                            continue;
+                        ScaleDriver::Predictive(p) => {
+                            let target = p.plan.steps[next_step].replicas;
+                            next_step += 1;
+                            self.apply_plan_target(target, p.warmup_s, now);
                         }
-                        let replica = self.route_into(
-                            &req,
-                            now,
-                            &routable,
-                            &slots,
-                            &mut round_robin_next,
-                            rec,
-                        );
-                        assignments.push((req.id, replica));
-                        slots[replica].assigned += 1;
-                        slots[replica]
-                            .sim
-                            .as_mut()
-                            .expect("routable slots are alive")
-                            .inject_delayed(req, now);
+                        ScaleDriver::Static { .. } => unreachable!("static drivers have no ticks"),
                     }
                 }
-                2 => match &self.driver {
-                    ScaleDriver::Reactive(policy) => {
-                        next_tick += policy.evaluation_interval_s;
-                        advance_live(&mut slots, now);
-                        self.evaluate_reactive(
-                            policy,
-                            now,
-                            &mut slots,
-                            &mut events,
-                            &mut last_action_s,
-                            &mut peak_provisioned,
-                            &mut min_provisioned,
-                            R::ENABLED,
-                        );
-                    }
-                    ScaleDriver::Predictive(p) => {
-                        let target = p.plan.steps[next_step].replicas;
-                        next_step += 1;
-                        advance_live(&mut slots, now);
-                        self.apply_plan_target(
-                            target,
-                            p.warmup_s,
-                            now,
-                            &mut slots,
-                            &mut events,
-                            &mut peak_provisioned,
-                            &mut min_provisioned,
-                            R::ENABLED,
-                        );
-                    }
-                    ScaleDriver::Static { .. } => unreachable!("static drivers have no ticks"),
-                },
                 _ => {
                     let req = requests[next_req];
                     next_req += 1;
-                    advance_live(&mut slots, req.arrival_s);
-                    let routable = routable_indices(&slots, req.arrival_s);
-                    if routable.is_empty() {
-                        pending.push_back(req);
-                    } else if !self.shed_check(
-                        &req,
-                        req.arrival_s,
-                        &slots,
-                        &routable,
-                        &mut shed_total,
-                        &mut shed_by_class,
-                        &mut shed_log,
-                    ) {
-                        let replica = self.route_into(
-                            &req,
-                            req.arrival_s,
-                            &routable,
-                            &slots,
-                            &mut round_robin_next,
-                            rec,
-                        );
-                        assignments.push((req.id, replica));
-                        slots[replica].assigned += 1;
-                        slots[replica]
-                            .sim
-                            .as_mut()
-                            .expect("routable slots are alive")
-                            .inject(req);
+                    self.advance_to(now);
+                    if self.routable.is_empty() {
+                        self.pending.push_back(req);
+                    } else if !self.shed(&req, now) {
+                        self.route(&req, now).inject(req);
                     }
                 }
             }
         }
 
         // Requests that never found a routable replica fail.
-        failed += pending.len();
-        pending.clear();
-
-        self.finish_run(
-            slots,
-            dead,
-            assignments,
-            events,
-            peak_provisioned,
-            min_provisioned,
-            FaultTally {
-                injected,
-                shed_total,
-                shed_by_class,
-                shed_log,
-                failed,
-                retried,
-                faults_applied,
-                faults_skipped,
-                disruptions,
-            },
-        )
+        self.fault.failed += self.pending.len();
+        self.pending.clear();
+        self.finish()
     }
-}
 
-/// Advances every live replica to just before `t`.
-fn advance_live(slots: &mut [ChaosSlot], t: f64) {
-    for sim in slots.iter_mut().filter_map(|s| s.sim.as_mut()) {
-        sim.advance_before(t);
-    }
-}
-
-/// Slot indices routable at `t`, ascending.
-fn routable_indices(slots: &[ChaosSlot], t: f64) -> Vec<usize> {
-    slots
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.routable_at(t))
-        .map(|(i, _)| i)
-        .collect()
-}
-
-/// Mean queued requests per routable replica.
-fn mean_queue_depth(slots: &[ChaosSlot], routable: &[usize]) -> f64 {
-    routable
-        .iter()
-        .map(|&i| {
-            slots[i]
-                .sim
-                .as_ref()
-                .expect("routable slots are alive")
-                .queued()
-        })
-        .sum::<usize>() as f64
-        / routable.len() as f64
-}
-
-/// A dead replica's parked results plus the observability harvested at its
-/// death instant.
-struct DeadReplica {
-    timelines: Vec<RequestTimeline>,
-    acc: SimAccumulators,
-    obs: crate::cluster::ReplicaObs,
-}
-
-struct FaultTally {
-    injected: usize,
-    shed_total: usize,
-    shed_by_class: BTreeMap<u32, usize>,
-    shed_log: Vec<ShedEvent>,
-    failed: usize,
-    retried: usize,
-    faults_applied: usize,
-    faults_skipped: usize,
-    disruptions: Vec<Disruption>,
-}
-
-impl ChaosEngine {
-    /// Returns `true` (and records the shed) when admission control rejects
-    /// `req` at `t` given the routable fleet state.
-    #[allow(clippy::too_many_arguments)]
-    fn shed_check(
-        &self,
-        req: &EngineRequest,
-        t: f64,
-        slots: &[ChaosSlot],
-        routable: &[usize],
-        shed_total: &mut usize,
-        shed_by_class: &mut BTreeMap<u32, usize>,
-        shed_log: &mut Vec<ShedEvent>,
-    ) -> bool {
-        let Some(admission) = &self.admission else {
-            return false;
-        };
-        let depth = mean_queue_depth(slots, routable);
-        let priority = admission.priority_of(req.class);
-        if depth > admission.threshold_for(priority) {
-            *shed_total += 1;
-            *shed_by_class.entry(req.class).or_insert(0) += 1;
-            shed_log.push(ShedEvent {
-                time_s: t,
-                id: req.id,
-                class: req.class,
-                priority,
-                mean_queue_depth: depth,
-            });
-            true
-        } else {
-            false
+    /// Advances every live replica to just before `t` and refreshes the
+    /// routable set at `t`.
+    fn advance_to(&mut self, t: f64) {
+        // One pass over the slots: this runs at every arrival.
+        self.routable.clear();
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if let Some(sim) = slot.sim.as_mut() {
+                sim.advance_before(t);
+            }
+            if slot.routable_at(t) {
+                self.routable.push(i);
+            }
         }
     }
 
-    /// Routes `req` over the routable candidates, returning the chosen slot
-    /// index. The recorder sees one decision event per pick; it never
-    /// influences the pick.
-    fn route_into<R: rago_telemetry::Recorder>(
-        &self,
-        req: &EngineRequest,
-        t: f64,
-        routable: &[usize],
-        slots: &[ChaosSlot],
-        round_robin_next: &mut usize,
-        rec: &mut R,
-    ) -> usize {
+    /// Refreshes the routable set at `t` without advancing: after a kill
+    /// or a scale-in changed it mid-instant.
+    fn refresh_routable(&mut self, t: f64) {
+        self.routable.clear();
+        self.routable.extend(
+            self.slots
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.routable_at(t))
+                .map(|(i, _)| i),
+        );
+    }
+
+    /// Returns `true` (and records the shed) when admission control rejects
+    /// `req` at `t` given the routable fleet state.
+    fn shed(&mut self, req: &EngineRequest, t: f64) -> bool {
+        let Some(admission) = &self.engine.admission else {
+            return false;
+        };
+        let (depth, _) = fleet_load(&self.slots, &self.routable);
+        let priority = admission.priority_of(req.class);
+        if depth <= admission.threshold_for(priority) {
+            return false;
+        }
+        self.fault.shed += 1;
+        *self.shed_by_class.entry(req.class).or_insert(0) += 1;
+        self.fault.shed_log.push(ShedEvent {
+            time_s: t,
+            id: req.id,
+            class: req.class,
+            priority,
+            mean_queue_depth: depth,
+        });
+        true
+    }
+
+    /// Routes `req` over the routable slots and returns the chosen
+    /// replica for the caller to inject into. The recorder sees one
+    /// decision event per pick; it never influences the pick.
+    fn route(&mut self, req: &EngineRequest, t: f64) -> &mut ReplicaSim {
+        let router = self.engine.router;
+        let (slots, routable) = (&self.slots, &self.routable);
         let pick = route_pick(
-            self.router,
+            router,
             routable.len(),
-            |i| {
-                slots[routable[i]]
-                    .sim
-                    .as_ref()
-                    .expect("routable slots are alive")
-            },
+            |i| live(&slots[routable[i]]),
+            // Hash homes key on the stable slot index, not the position in
+            // the routable subset, so scale events do not re-home every
+            // template.
             |i| routable[i],
-            round_robin_next,
+            &mut self.round_robin_next,
             req,
         );
         let replica = routable[pick];
         if R::ENABLED {
             crate::telemetry::record_route_pick(
-                rec,
+                self.rec,
                 t,
-                self.router,
+                router,
                 replica,
                 req,
-                slots[replica]
-                    .sim
-                    .as_ref()
-                    .expect("routable slots are alive"),
+                live(&slots[replica]),
             );
         }
-        replica
+        if matches!(self.mode, MetricsMode::Exact) {
+            self.assignments.push((req.id, replica));
+        }
+        let slot = &mut self.slots[replica];
+        slot.assigned += 1;
+        slot.sim.as_mut().expect("routable slots are alive")
+    }
+
+    /// Flush lane: a replica just became routable; pending requests go
+    /// through admission and routing at this instant.
+    fn flush(&mut self, now: f64) {
+        self.advance_to(now);
+        // Empty when the candidate replica died in this same instant: the
+        // requests wait for the next one.
+        if self.routable.is_empty() {
+            return;
+        }
+        while let Some(req) = self.pending.pop_front() {
+            if !self.shed(&req, now) {
+                self.route(&req, now).inject_delayed(req, now);
+            }
+        }
+    }
+
+    /// Provisions a fresh (cold) replica slot and returns its index.
+    fn provision(&mut self, pipeline: usize, provisioned_s: f64, routable_s: f64) -> usize {
+        self.slots.push(ChaosSlot {
+            sim: Some(self.engine.new_sim(pipeline, R::ENABLED)),
+            pipeline,
+            provisioned_s,
+            routable_s,
+            decommissioned_s: None,
+            retired_at: None,
+            assigned: 0,
+            completion_cursor: 0,
+        });
+        self.slots.len() - 1
+    }
+
+    /// Whether fault target `slot` does not exist or is already dead.
+    fn gone(&self, slot: usize) -> bool {
+        self.slots.get(slot).map_or(true, |s| !s.alive())
     }
 
     /// Applies one fault-lane action at time `now`.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_action<R: rago_telemetry::Recorder>(
-        &self,
-        action: Action,
-        now: f64,
-        slots: &mut Vec<ChaosSlot>,
-        agenda: &mut Vec<Agendum>,
-        next_seq: &mut u64,
-        dead: &mut BTreeMap<usize, DeadReplica>,
-        pending: &mut VecDeque<EngineRequest>,
-        assignments: &mut Vec<(u64, usize)>,
-        round_robin_next: &mut usize,
-        peak_provisioned: &mut u32,
-        min_provisioned: &mut u32,
-        failed: &mut usize,
-        retried: &mut usize,
-        faults_applied: &mut usize,
-        faults_skipped: &mut usize,
-        disruptions: &mut Vec<Disruption>,
-        rec: &mut R,
-    ) {
+    fn apply_action(&mut self, action: Action, now: f64) {
         match action {
             Action::Slowdown { slot, factor } => {
-                match slots.get_mut(slot).and_then(|s| s.sim.as_mut()) {
+                match self.slots.get_mut(slot).and_then(|s| s.sim.as_mut()) {
                     Some(sim) => {
                         // Rides the sim's own fault lane: in force before
                         // any same-instant arrival is processed.
                         sim.schedule_slowdown(now, factor);
-                        *faults_applied += 1;
+                        self.fault.faults_applied += 1;
                     }
-                    None => *faults_skipped += 1,
+                    None => self.fault.faults_skipped += 1,
                 }
             }
             Action::Crash {
                 slot,
                 restart_delay_s,
             } => {
-                if slots.get(slot).map_or(true, |s| !s.alive()) {
-                    *faults_skipped += 1;
+                if self.gone(slot) {
+                    self.fault.faults_skipped += 1;
                     return;
                 }
-                *faults_applied += 1;
-                self.kill_slot(
-                    slot,
-                    now,
-                    FaultKind::Crash,
-                    slots,
-                    dead,
-                    pending,
-                    assignments,
-                    round_robin_next,
-                    min_provisioned,
-                    failed,
-                    retried,
-                    rec,
-                );
-                disruptions.push(Disruption {
+                self.fault.faults_applied += 1;
+                self.kill_slot(slot, now);
+                self.fault.disruptions.push(Disruption {
                     time_s: now,
                     replica: slot,
                     kind: FaultKind::Crash,
                 });
                 if restart_delay_s.is_finite() {
-                    agenda.push(Agendum {
-                        t: now + restart_delay_s,
-                        seq: *next_seq,
-                        action: Action::Restart,
-                    });
-                    *next_seq += 1;
+                    let pipeline = self.slots[slot].pipeline;
+                    self.schedule(now + restart_delay_s, Action::Restart { pipeline });
                 }
             }
             Action::PreemptNotice { slot, notice_s } => {
-                if slots.get(slot).map_or(true, |s| !s.alive()) {
-                    *faults_skipped += 1;
+                if self.gone(slot) {
+                    self.fault.faults_skipped += 1;
                     return;
                 }
-                *faults_applied += 1;
+                self.fault.faults_applied += 1;
                 // Capacity stops at the notice: the replica drains, the
                 // router excludes it, and the disruption clock starts now.
-                if slots[slot].decommissioned_s.is_none() {
-                    slots[slot].decommissioned_s = Some(now);
-                }
-                let provisioned = provisioned_count(slots);
-                *min_provisioned = (*min_provisioned).min(provisioned);
-                disruptions.push(Disruption {
+                self.slots[slot].decommissioned_s.get_or_insert(now);
+                self.min_provisioned = self.min_provisioned.min(provisioned_count(&self.slots));
+                self.fault.disruptions.push(Disruption {
                     time_s: now,
                     replica: slot,
                     kind: FaultKind::Preemption,
                 });
-                agenda.push(Agendum {
-                    t: now + notice_s,
-                    seq: *next_seq,
-                    action: Action::Kill { slot },
-                });
-                *next_seq += 1;
+                self.schedule(now + notice_s, Action::Kill { slot });
             }
             Action::Kill { slot } => {
                 // The preemption deadline; skip silently if the replica
                 // already crashed during the notice window.
-                if slots.get(slot).map_or(true, |s| !s.alive()) {
-                    return;
+                if !self.gone(slot) {
+                    self.kill_slot(slot, now);
                 }
-                self.kill_slot(
-                    slot,
-                    now,
-                    FaultKind::Preemption,
-                    slots,
-                    dead,
-                    pending,
-                    assignments,
-                    round_robin_next,
-                    min_provisioned,
-                    failed,
-                    retried,
-                    rec,
-                );
             }
-            Action::Restart => {
+            Action::Restart { pipeline } => {
                 // A cold replacement replica: same provisioning path as a
                 // scale-out (fresh caches, full warm-up).
-                slots.push(ChaosSlot::fresh(
-                    self.new_sim(R::ENABLED),
-                    now,
-                    now + self.driver.warmup_s(),
-                ));
-                let provisioned = provisioned_count(slots);
-                *peak_provisioned = (*peak_provisioned).max(provisioned);
+                self.provision(pipeline, now, now + self.engine.driver.warmup_s());
+                self.peak_provisioned = self.peak_provisioned.max(provisioned_count(&self.slots));
             }
         }
+    }
+
+    fn schedule(&mut self, t: f64, action: Action) {
+        self.agenda.push(Agendum {
+            t,
+            seq: self.next_seq,
+            action,
+        });
+        self.next_seq += 1;
     }
 
     /// Tears one replica down at `now`: its completed work is parked for
     /// the merge, its in-flight requests are re-queued or failed, and its
     /// chips are released.
-    #[allow(clippy::too_many_arguments)]
-    fn kill_slot<R: rago_telemetry::Recorder>(
-        &self,
-        slot: usize,
-        now: f64,
-        _kind: FaultKind,
-        slots: &mut [ChaosSlot],
-        dead: &mut BTreeMap<usize, DeadReplica>,
-        pending: &mut VecDeque<EngineRequest>,
-        assignments: &mut Vec<(u64, usize)>,
-        round_robin_next: &mut usize,
-        min_provisioned: &mut u32,
-        failed: &mut usize,
-        retried: &mut usize,
-        rec: &mut R,
-    ) {
+    fn kill_slot(&mut self, slot: usize, now: f64) {
         // Work completing strictly before the death instant survives; work
         // completing exactly at it is lost with the replica (the pinned
         // `advance_before` semantics).
-        advance_live(slots, now);
-        let mut sim = slots[slot]
+        self.advance_to(now);
+        let sim = self.slots[slot]
             .sim
             .take()
             .expect("kill_slot targets live slots");
-        let obs = crate::cluster::ReplicaObs {
-            replica: slot,
-            probes: sim.drain_probe_log(),
-            equeue: sim.equeue_stats(),
-        };
-        let (timelines, in_flight, acc) = sim.dismantle();
-        dead.insert(
-            slot,
-            DeadReplica {
-                timelines,
-                acc,
-                obs,
-            },
-        );
-        if slots[slot].decommissioned_s.is_none() {
-            slots[slot].decommissioned_s = Some(now);
-        }
-        slots[slot].retired_at = Some(now);
-        let provisioned = provisioned_count(slots);
-        *min_provisioned = (*min_provisioned).min(provisioned);
-        match self.crash_policy {
-            CrashPolicy::Fail => *failed += in_flight.len(),
+        let (finished, in_flight) = retire(slot, sim, self.mode);
+        self.dead.push(finished);
+        let s = &mut self.slots[slot];
+        s.decommissioned_s.get_or_insert(now);
+        s.retired_at = Some(now);
+        self.min_provisioned = self.min_provisioned.min(provisioned_count(&self.slots));
+        match self.engine.crash_policy {
+            CrashPolicy::Fail => self.fault.failed += in_flight.len(),
             CrashPolicy::Requeue => {
+                self.refresh_routable(now);
                 for req in in_flight {
-                    *retried += 1;
-                    let routable = routable_indices(slots, now);
-                    if routable.is_empty() {
-                        pending.push_back(req);
+                    self.fault.retried += 1;
+                    if self.routable.is_empty() {
+                        self.pending.push_back(req);
                     } else {
                         // Retries bypass admission — they were admitted
                         // once; TTFT keeps accruing from the original
                         // arrival.
-                        let replica =
-                            self.route_into(&req, now, &routable, slots, round_robin_next, rec);
-                        assignments.push((req.id, replica));
-                        slots[replica].assigned += 1;
-                        slots[replica]
-                            .sim
-                            .as_mut()
-                            .expect("routable slots are alive")
-                            .inject_delayed(req, now);
+                        self.route(&req, now).inject_delayed(req, now);
                     }
                 }
             }
         }
     }
 
-    /// One reactive policy evaluation — the exact decision procedure of
-    /// [`crate::AutoscaleEngine`], over the live subset of the chaos fleet.
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_reactive(
-        &self,
-        policy: &AutoscalerPolicy,
-        now: f64,
-        slots: &mut Vec<ChaosSlot>,
-        events: &mut Vec<ScalingEvent>,
-        last_action_s: &mut f64,
-        peak_provisioned: &mut u32,
-        min_provisioned: &mut u32,
-        track_probes: bool,
-    ) {
-        let routable = routable_indices(slots, now);
-        let provisioned = provisioned_count(slots);
-        if routable.is_empty() {
-            return;
-        }
-        let n = routable.len() as f64;
-        let mean_queue_depth = routable
+    /// The routable replica with the fewest outstanding requests; ties
+    /// retire the newest, keeping long-lived replicas (and the round-robin
+    /// pattern over them) stable.
+    fn emptiest_routable(&self) -> usize {
+        self.routable
             .iter()
-            .map(|&i| {
-                slots[i]
-                    .sim
-                    .as_ref()
-                    .expect("routable slots are alive")
-                    .queued()
-            })
-            .sum::<usize>() as f64
-            / n;
-        let mean_outstanding = routable
-            .iter()
-            .map(|&i| {
-                slots[i]
-                    .sim
-                    .as_ref()
-                    .expect("routable slots are alive")
-                    .outstanding()
-            })
-            .sum::<usize>() as f64
-            / n;
+            .copied()
+            .min_by_key(|&i| (live(&self.slots[i]).outstanding(), usize::MAX - i))
+            .expect("routable is non-empty")
+    }
 
+    /// One reactive policy evaluation at tick `now` (the fleet already
+    /// advanced): observe the routable replicas, then take at most one
+    /// scaling action.
+    fn evaluate_reactive(&mut self, policy: &AutoscalerPolicy, now: f64) {
+        if self.routable.is_empty() {
+            return; // only while the whole fleet warms up or is dead
+        }
+        let provisioned = provisioned_count(&self.slots);
+        let (mean_queue_depth, mean_outstanding) = fleet_load(&self.slots, &self.routable);
         let queue_trigger = mean_queue_depth > policy.scale_out_queue_depth;
-        let attainment_trigger = if let Some(t) = &policy.attainment_trigger {
-            let mut met = 0usize;
-            let mut total = 0usize;
-            for slot in slots.iter_mut() {
+        // Consecutive ticks are `evaluation_interval_s` apart, so consuming
+        // everything up to `now` from each replica's cursor is exactly the
+        // last interval's completions — in O(new completions), not a rescan
+        // of every request.
+        let attainment_trigger = policy.attainment_trigger.is_some_and(|t| {
+            let (mut met, mut total) = (0usize, 0usize);
+            for slot in &mut self.slots {
                 let Some(sim) = slot.sim.as_ref() else {
                     continue;
                 };
                 for &(_, ttft, tpot) in sim.completions_up_to(&mut slot.completion_cursor, now) {
                     total += 1;
-                    if t.slo.meets(ttft, tpot) {
-                        met += 1;
-                    }
+                    met += usize::from(t.slo.meets(ttft, tpot));
                 }
             }
             total > 0 && (met as f64 / total as f64) < t.floor
-        } else {
-            false
-        };
+        });
 
-        if (queue_trigger || attainment_trigger) && provisioned < policy.max_replicas {
-            let replica = slots.len();
-            slots.push(ChaosSlot::fresh(
-                self.new_sim(track_probes),
-                now,
-                now + policy.warmup_s,
-            ));
-            *last_action_s = now;
-            *peak_provisioned = (*peak_provisioned).max(provisioned + 1);
-            events.push(ScalingEvent {
-                time_s: now,
-                action: ScalingAction::ScaleOut,
-                replica,
-                provisioned_after: provisioned + 1,
-                routable_after: routable.len() as u32 + u32::from(policy.warmup_s <= 0.0),
-                mean_queue_depth,
-                mean_outstanding,
-            });
-        } else if mean_outstanding < policy.scale_in_outstanding
-            && routable.len() as u32 > policy.min_replicas
-            && now - *last_action_s >= policy.cooldown_s
-        {
-            let victim = routable
-                .iter()
-                .copied()
-                .min_by_key(|&i| {
-                    (
-                        slots[i]
-                            .sim
-                            .as_ref()
-                            .expect("routable slots are alive")
-                            .outstanding(),
-                        usize::MAX - i,
-                    )
-                })
-                .expect("routable is non-empty");
-            slots[victim].decommissioned_s = Some(now);
-            *last_action_s = now;
-            *min_provisioned = (*min_provisioned).min(provisioned - 1);
-            events.push(ScalingEvent {
-                time_s: now,
-                action: ScalingAction::ScaleIn,
-                replica: victim,
-                provisioned_after: provisioned - 1,
-                routable_after: routable.len() as u32 - 1,
-                mean_queue_depth,
-                mean_outstanding,
-            });
-        }
+        let routable = self.routable.len() as u32;
+        let (action, replica, provisioned_after, routable_after) =
+            if (queue_trigger || attainment_trigger) && provisioned < policy.max_replicas {
+                let replica = self.provision(0, now, now + policy.warmup_s);
+                self.peak_provisioned = self.peak_provisioned.max(provisioned + 1);
+                // A zero-warm-up replica is routable at this very tick, so it
+                // already counts.
+                let routable_after = routable + u32::from(policy.warmup_s <= 0.0);
+                (
+                    ScalingAction::ScaleOut,
+                    replica,
+                    provisioned + 1,
+                    routable_after,
+                )
+            } else if mean_outstanding < policy.scale_in_outstanding
+                && routable > policy.min_replicas
+                && now - self.last_action_s >= policy.cooldown_s
+            {
+                // Drain the emptiest routable replica.
+                let victim = self.emptiest_routable();
+                self.slots[victim].decommissioned_s = Some(now);
+                self.min_provisioned = self.min_provisioned.min(provisioned - 1);
+                (
+                    ScalingAction::ScaleIn,
+                    victim,
+                    provisioned - 1,
+                    routable - 1,
+                )
+            } else {
+                return;
+            };
+        self.last_action_s = now;
+        self.events.push(ScalingEvent {
+            time_s: now,
+            action,
+            replica,
+            provisioned_after,
+            routable_after,
+            mean_queue_depth,
+            mean_outstanding,
+        });
     }
 
-    /// One predictive plan step: provision or decommission until the live
-    /// fleet matches `target`.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_plan_target(
-        &self,
-        target: u32,
-        warmup_s: f64,
-        now: f64,
-        slots: &mut Vec<ChaosSlot>,
-        events: &mut Vec<ScalingEvent>,
-        peak_provisioned: &mut u32,
-        min_provisioned: &mut u32,
-        track_probes: bool,
-    ) {
-        let routable = routable_indices(slots, now);
-        let mean_queue_depth = if routable.is_empty() {
-            0.0
-        } else {
-            routable
-                .iter()
-                .map(|&i| {
-                    slots[i]
-                        .sim
-                        .as_ref()
-                        .expect("routable slots are alive")
-                        .queued()
-                })
-                .sum::<usize>() as f64
-                / routable.len() as f64
+    /// One predictive plan step (the fleet already advanced): provision or
+    /// decommission until the live fleet matches `target`.
+    fn apply_plan_target(&mut self, target: u32, warmup_s: f64, now: f64) {
+        let (mean_queue_depth, mean_outstanding) = fleet_load(&self.slots, &self.routable);
+        let mut provisioned = provisioned_count(&self.slots);
+        let mut routable_now = self.routable.len() as u32;
+        let event = |action, replica, provisioned_after, routable_after| ScalingEvent {
+            time_s: now,
+            action,
+            replica,
+            provisioned_after,
+            routable_after,
+            mean_queue_depth,
+            mean_outstanding,
         };
-        let mean_outstanding = if routable.is_empty() {
-            0.0
-        } else {
-            routable
-                .iter()
-                .map(|&i| {
-                    slots[i]
-                        .sim
-                        .as_ref()
-                        .expect("routable slots are alive")
-                        .outstanding()
-                })
-                .sum::<usize>() as f64
-                / routable.len() as f64
-        };
-
-        let mut provisioned = provisioned_count(slots);
-        let mut routable_now = routable.len() as u32;
         while provisioned < target {
-            let replica = slots.len();
-            slots.push(ChaosSlot::fresh(
-                self.new_sim(track_probes),
-                now,
-                now + warmup_s,
-            ));
+            let replica = self.provision(0, now, now + warmup_s);
             provisioned += 1;
             if warmup_s <= 0.0 {
                 routable_now += 1;
             }
-            *peak_provisioned = (*peak_provisioned).max(provisioned);
-            events.push(ScalingEvent {
-                time_s: now,
-                action: ScalingAction::ScaleOut,
-                replica,
-                provisioned_after: provisioned,
-                routable_after: routable_now,
-                mean_queue_depth,
-                mean_outstanding,
-            });
+            self.peak_provisioned = self.peak_provisioned.max(provisioned);
+            let ev = event(ScalingAction::ScaleOut, replica, provisioned, routable_now);
+            self.events.push(ev);
         }
         while provisioned > target {
             // Decommission the emptiest routable replica; never take the
             // last one (warming replicas cannot drain the backlog).
-            let victims = routable_indices(slots, now);
-            if victims.len() <= 1 {
+            self.refresh_routable(now);
+            if self.routable.len() <= 1 {
                 break;
             }
-            let victim = victims
-                .iter()
-                .copied()
-                .min_by_key(|&i| {
-                    (
-                        slots[i]
-                            .sim
-                            .as_ref()
-                            .expect("routable slots are alive")
-                            .outstanding(),
-                        usize::MAX - i,
-                    )
-                })
-                .expect("victims is non-empty");
-            slots[victim].decommissioned_s = Some(now);
+            let victim = self.emptiest_routable();
+            self.slots[victim].decommissioned_s = Some(now);
             provisioned -= 1;
             routable_now = routable_now.saturating_sub(1);
-            *min_provisioned = (*min_provisioned).min(provisioned);
-            events.push(ScalingEvent {
-                time_s: now,
-                action: ScalingAction::ScaleIn,
-                replica: victim,
-                provisioned_after: provisioned,
-                routable_after: routable_now,
-                mean_queue_depth,
-                mean_outstanding,
-            });
+            self.min_provisioned = self.min_provisioned.min(provisioned);
+            let ev = event(ScalingAction::ScaleIn, victim, provisioned, routable_now);
+            self.events.push(ev);
         }
     }
 
     /// Drains the surviving replicas, merges them with the dead replicas'
-    /// parked results, patches shed counts into the metrics, and assembles
-    /// the report — the chaos counterpart of the cluster merge, and
-    /// bit-identical to it when no replica ever died and nothing was shed.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_run(
-        &self,
-        mut slots: Vec<ChaosSlot>,
-        dead: BTreeMap<usize, DeadReplica>,
-        assignments: Vec<(u64, usize)>,
-        events: Vec<ScalingEvent>,
-        peak_provisioned: u32,
-        min_provisioned: u32,
-        tally: FaultTally,
-    ) -> (ChaosReport, Vec<crate::cluster::ReplicaObs>) {
-        let assigned_counts: Vec<usize> = slots.iter().map(|s| s.assigned).collect();
-        let alive: Vec<(usize, ReplicaSim)> = slots
+    /// parked results in slot-index order, patches shed counts into the
+    /// metrics, and assembles the report and cost ledger.
+    fn finish(mut self) -> (ChaosReport, Vec<ReplicaObs>) {
+        let assigned_counts: Vec<usize> = self.slots.iter().map(|s| s.assigned).collect();
+        let alive: Vec<(usize, ReplicaSim)> = self
+            .slots
             .iter_mut()
             .enumerate()
             .filter_map(|(i, s)| s.sim.take().map(|sim| (i, sim)))
             .collect();
-        let drain = |(replica, mut sim): (usize, ReplicaSim)| {
-            sim.run_to_completion();
-            let obs = crate::cluster::ReplicaObs {
-                replica,
-                probes: sim.drain_probe_log(),
-                equeue: sim.equeue_stats(),
-            };
-            let (timelines, acc) = sim.finish();
-            (replica, timelines, acc, obs)
-        };
-        type Drained = (
-            usize,
-            Vec<RequestTimeline>,
-            SimAccumulators,
-            crate::cluster::ReplicaObs,
-        );
-        let mut drained: Vec<Drained> = if alive.len() > 1 {
-            alive
-                .into_iter()
-                .par_bridge()
-                .fold(Vec::new, |mut acc, item| {
-                    acc.push(drain(item));
-                    acc
-                })
-                .reduce(Vec::new, |mut a, mut b| {
-                    a.append(&mut b);
-                    a
-                })
-        } else {
-            alive.into_iter().map(drain).collect()
-        };
-        for (replica, d) in dead {
-            drained.push((replica, d.timelines, d.acc, d.obs));
-        }
-        drained.sort_by_key(|(replica, ..)| *replica);
+        let mut finished = drain_survivors(alive, self.mode);
+        finished.append(&mut self.dead);
+        finished.sort_by_key(|f| f.replica);
 
-        let mut per_replica = Vec::with_capacity(drained.len());
-        let mut obs_out = Vec::with_capacity(drained.len());
-        let mut merged_timelines = Vec::with_capacity(assignments.len());
-        let mut merged_acc = SimAccumulators::default();
-        for (replica, timelines, acc, obs) in drained {
-            merged_timelines.extend(timelines.iter().cloned());
-            merged_acc.merge_from(&acc);
-            per_replica.push(ReplicaReport {
-                replica,
-                assigned: assigned_counts[replica],
-                report: build_report(timelines, &acc),
-            });
-            obs_out.push(obs);
-        }
-        merged_timelines.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
-        let mut merged = build_report(merged_timelines, &merged_acc);
+        let mut per_replica = Vec::with_capacity(finished.len());
+        let mut obs = Vec::with_capacity(finished.len());
+        let (mut merged, merged_acc) = match self.mode {
+            MetricsMode::Exact => {
+                let mut timelines = Vec::with_capacity(self.fault.injected);
+                let mut acc = SimAccumulators::default();
+                for f in finished {
+                    let Done::Exact(replica_timelines, replica_acc) = f.done else {
+                        unreachable!("exact runs retire into timelines");
+                    };
+                    timelines.extend(replica_timelines.iter().cloned());
+                    acc.merge_from(&replica_acc);
+                    per_replica.push(ReplicaReport {
+                        replica: f.replica,
+                        assigned: assigned_counts[f.replica],
+                        report: build_report(replica_timelines, &replica_acc),
+                    });
+                    obs.push(f.obs);
+                }
+                timelines.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
+                (build_report(timelines, &acc), acc)
+            }
+            MetricsMode::Streaming(config) => {
+                let mut sink = HistogramSink::new(config);
+                for f in finished {
+                    let Done::Streaming(replica_sink) = f.done else {
+                        unreachable!("streaming runs retire into sinks");
+                    };
+                    sink.merge_from(&replica_sink);
+                    per_replica.push(ReplicaReport {
+                        replica: f.replica,
+                        assigned: assigned_counts[f.replica],
+                        report: replica_sink.into_report(),
+                    });
+                    obs.push(f.obs);
+                }
+                let acc = sink.acc.clone();
+                (sink.into_report(), acc)
+            }
+        };
 
         // Thread the shed counts into the merged and per-class rows —
         // untouched when nothing was shed, preserving bit-identity.
-        if tally.shed_total > 0 {
-            merged.metrics.shed = tally.shed_total;
+        if self.fault.shed > 0 {
+            merged.metrics.shed = self.fault.shed;
             for row in &mut merged.per_class {
-                row.metrics.shed = tally.shed_by_class.get(&row.class).copied().unwrap_or(0);
+                row.metrics.shed = self.shed_by_class.get(&row.class).copied().unwrap_or(0);
             }
-            for (&class, &count) in &tally.shed_by_class {
+            for (&class, &count) in &self.shed_by_class {
                 if !merged.per_class.iter().any(|r| r.class == class) {
                     // A class shed in its entirety still gets a row: zero
                     // completions, its shed count, shared-resource fields
@@ -1953,35 +1811,41 @@ impl ChaosEngine {
             merged.per_class.sort_by_key(|r| r.class);
         }
 
-        let completed = merged.metrics.completed;
+        let mut fault = self.fault;
+        fault.completed = merged.metrics.completed;
+        fault.shed_by_class = self
+            .shed_by_class
+            .iter()
+            .map(|(&class, &shed)| ClassShed { class, shed })
+            .collect();
         debug_assert_eq!(
-            tally.injected,
-            completed + tally.shed_total + tally.failed,
+            fault.injected,
+            fault.completed + fault.shed + fault.failed,
             "request conservation must hold"
         );
 
         let fleet = FleetReport {
             merged,
             per_replica,
-            assignments,
+            assignments: self.assignments,
             imbalance: LoadImbalance::from_counts(assigned_counts),
-            router: self.router,
+            router: self.engine.router,
         };
 
-        // Cost accounting: dead replicas release their chips at death;
-        // surviving ones follow the autoscaler's retirement rules.
+        // Cost accounting: a dead replica releases its chips at death, a
+        // decommissioned one when its drain finishes (its last completion
+        // is its makespan; an idle replica's is its provisioning instant),
+        // and every other replica at the end of the run.
         let makespan = fleet.merged.metrics.makespan_s;
-        let mut lifetimes = Vec::with_capacity(slots.len());
+        let mut lifetimes = Vec::with_capacity(self.slots.len());
         let mut replica_seconds = 0.0;
-        for (replica, slot) in slots.iter().enumerate() {
-            let report = &fleet.per_replica[replica].report;
-            let last_completion = report.metrics.makespan_s.max(slot.provisioned_s);
-            let retired_s = match slot.retired_at {
-                Some(death) => death,
-                None => match slot.decommissioned_s {
-                    Some(d) => d.max(last_completion),
-                    None => makespan.max(slot.provisioned_s),
-                },
+        for (replica, slot) in self.slots.iter().enumerate() {
+            let report = &fleet.per_replica[replica];
+            let last_completion = report.report.metrics.makespan_s.max(slot.provisioned_s);
+            let retired_s = match (slot.retired_at, slot.decommissioned_s) {
+                (Some(death), _) => death,
+                (None, Some(d)) => d.max(last_completion),
+                (None, None) => makespan.max(slot.provisioned_s),
             };
             replica_seconds += retired_s - slot.provisioned_s;
             lifetimes.push(ReplicaLifetime {
@@ -1990,54 +1854,29 @@ impl ChaosEngine {
                 routable_s: slot.routable_s,
                 decommissioned_s: slot.decommissioned_s,
                 retired_s,
-                assigned: fleet.per_replica[replica].assigned,
+                assigned: report.assigned,
             });
         }
 
         let report = ChaosReport {
             fleet,
-            events,
+            events: self.events,
             lifetimes,
-            peak_provisioned,
-            min_provisioned,
+            peak_provisioned: self.peak_provisioned,
+            min_provisioned: self.min_provisioned,
             replica_seconds,
-            fault: FaultReport {
-                injected: tally.injected,
-                completed,
-                shed: tally.shed_total,
-                failed: tally.failed,
-                retried: tally.retried,
-                faults_applied: tally.faults_applied,
-                faults_skipped: tally.faults_skipped,
-                shed_by_class: tally
-                    .shed_by_class
-                    .iter()
-                    .map(|(&class, &shed)| ClassShed { class, shed })
-                    .collect(),
-                shed_log: tally.shed_log,
-                disruptions: tally.disruptions,
-            },
+            fault,
         };
-        (report, obs_out)
+        (report, obs)
     }
-}
-
-/// Live, non-decommissioned replicas — the autoscaler's "provisioned"
-/// count, with dead slots excluded.
-fn provisioned_count(slots: &[ChaosSlot]) -> u32 {
-    slots
-        .iter()
-        .filter(|s| s.alive() && s.decommissioned_s.is_none())
-        .count() as u32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::autoscaler::AutoscaleEngine;
-    use crate::cluster::ClusterEngine;
     use crate::engine::{DecodeSpec, LatencyTable, StageSpec};
-    use rago_schema::SequenceProfile;
+    use crate::sink::StreamingConfig;
+    use rago_schema::{HistogramSpec, SequenceProfile};
     use rago_workloads::{ArrivalProcess, TraceSpec};
 
     fn one_stage_spec(stage_latency: f64, batch: u32) -> PipelineSpec {
@@ -2087,73 +1926,6 @@ mod tests {
             decode_tokens: tokens,
             class,
             identity: None,
-        }
-    }
-
-    /// The degenerate pin behind the golden suite: no faults, no admission,
-    /// reactive driver ⇒ bit-identical to the autoscaler, field by field.
-    #[test]
-    fn degenerate_reactive_matches_the_autoscaler_exactly() {
-        let spec = one_stage_spec(0.04, 2);
-        let trace = spike_trace(220);
-        let policy = AutoscalerPolicy::new(1, 6)
-            .with_evaluation_interval(0.25)
-            .with_scale_out_queue_depth(1.5)
-            .with_scale_in_outstanding(1.0)
-            .with_cooldown(1.0)
-            .with_warmup(0.5);
-        for router in [RouterPolicy::LeastOutstanding, RouterPolicy::PrefixHash] {
-            let baseline = AutoscaleEngine::new(spec.clone(), router, policy).run_trace(&trace);
-            let chaos = ChaosEngine::new(spec.clone(), router, ScaleDriver::Reactive(policy))
-                .run_trace(&trace);
-            assert_eq!(
-                chaos.fleet, baseline.fleet,
-                "router {router} fleet diverged"
-            );
-            assert_eq!(chaos.events, baseline.events);
-            assert_eq!(chaos.lifetimes, baseline.lifetimes);
-            assert_eq!(chaos.peak_provisioned, baseline.peak_provisioned);
-            assert_eq!(chaos.min_provisioned, baseline.min_provisioned);
-            assert_eq!(chaos.replica_seconds, baseline.replica_seconds);
-            assert_eq!(chaos.fault.shed, 0);
-            assert_eq!(chaos.fault.failed, 0);
-            assert_eq!(chaos.fault.retried, 0);
-        }
-    }
-
-    /// Same pin with the attainment trigger on (exercises the completion
-    /// cursors through the chaos slot wrappers).
-    #[test]
-    fn degenerate_reactive_matches_with_attainment_trigger() {
-        let spec = one_stage_spec(0.04, 2);
-        let trace = spike_trace(180);
-        let policy = AutoscalerPolicy::new(1, 5)
-            .with_evaluation_interval(0.5)
-            .with_scale_out_queue_depth(100.0)
-            .with_attainment_trigger(SloTarget::new(0.5, 0.01), 0.9);
-        let baseline = AutoscaleEngine::new(spec.clone(), RouterPolicy::LeastOutstanding, policy)
-            .run_trace(&trace);
-        let chaos = ChaosEngine::new(
-            spec,
-            RouterPolicy::LeastOutstanding,
-            ScaleDriver::Reactive(policy),
-        )
-        .run_trace(&trace);
-        assert_eq!(chaos.fleet, baseline.fleet);
-        assert_eq!(chaos.events, baseline.events);
-    }
-
-    /// Static driver, no faults ⇒ bit-identical to the fixed fleet.
-    #[test]
-    fn degenerate_static_matches_the_cluster_exactly() {
-        let spec = one_stage_spec(0.03, 4);
-        let trace = poisson_trace(150, 60.0, 11);
-        for router in RouterPolicy::ALL {
-            let baseline = ClusterEngine::homogeneous(spec.clone(), 3, router).run_trace(&trace);
-            let chaos = ChaosEngine::new(spec.clone(), router, ScaleDriver::Static { replicas: 3 })
-                .run_trace(&trace);
-            assert_eq!(chaos.fleet, baseline, "router {router} diverged");
-            assert!(chaos.events.is_empty());
         }
     }
 
@@ -2597,6 +2369,35 @@ mod tests {
         assert!(a.events().windows(2).all(|w| w[0].at_s() <= w[1].at_s()));
     }
 
+    /// A traced static fleet narrates its replicas' lifecycles and the
+    /// routable-replicas gauge, as autoscaled and faulted runs do.
+    #[test]
+    fn traced_static_fleets_record_lifecycles_and_the_routable_gauge() {
+        let engine = ChaosEngine::new(
+            one_stage_spec(0.03, 2),
+            RouterPolicy::RoundRobin,
+            ScaleDriver::Static { replicas: 2 },
+        )
+        .with_telemetry(rago_telemetry::TelemetryConfig::full(0.25));
+        let trace = poisson_trace(40, 20.0, 3);
+        let (report, rec) =
+            engine.run_telemetry(trace.requests.iter().map(EngineRequest::from).collect());
+        assert_eq!(report, engine.run_trace(&trace));
+        let named = |name: &str| -> Vec<Option<f64>> {
+            rec.events()
+                .iter()
+                .filter(|e| e.name == name)
+                .map(|e| e.value)
+                .collect()
+        };
+        assert_eq!(named("replica.provisioned").len(), 2);
+        assert_eq!(named("replica.routable").len(), 2);
+        assert!(named("replica.decommissioned").is_empty());
+        let gauge = named("routable_replicas");
+        assert!(!gauge.is_empty());
+        assert!(gauge.iter().all(|&v| v == Some(2.0)));
+    }
+
     #[test]
     fn chaos_runs_are_deterministic() {
         let run = || {
@@ -2614,6 +2415,88 @@ mod tests {
             .run_trace(&spike_trace(180))
         };
         assert_eq!(run(), run());
+    }
+
+    /// Streaming runs keep no timelines even under faults: a dying replica
+    /// folds what it finished into its own sink. The SLO counts, fault
+    /// tallies and cost ledger match the exact run; the timeline-derived
+    /// recovery metrics are absent rather than "never dipped".
+    #[test]
+    fn streaming_chaos_run_matches_exact_tallies() {
+        let spec = one_stage_spec(0.05, 1);
+        let trace = poisson_trace(300, 60.0, 29);
+        let slo = SloTarget::new(0.5, 0.01).with_attainment(0.9);
+        let engine = ChaosEngine::new(
+            spec,
+            RouterPolicy::LeastOutstanding,
+            ScaleDriver::Static { replicas: 3 },
+        )
+        .with_faults(FaultSchedule::new(vec![FaultEvent::Crash {
+            replica: 1,
+            at_s: 1.5,
+            restart_delay_s: 1.0,
+        }]))
+        .with_admission(AdmissionConfig::new(1.0, 0.0));
+        let exact = engine.run_trace(&trace);
+        let streaming = engine.run_trace_with_mode(
+            &trace,
+            &MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()).with_slo(slo)),
+        );
+        assert!(exact.fault.shed > 0 && exact.fault.retried > 0);
+        assert!(streaming.fleet.merged.timelines.is_empty());
+        assert!(streaming.fleet.assignments.is_empty());
+        assert_eq!(
+            streaming.offered_attainment(&slo).to_bits(),
+            exact.offered_attainment(&slo).to_bits()
+        );
+        assert_eq!(streaming.fault, exact.fault);
+        assert_eq!(streaming.lifetimes, exact.lifetimes);
+        assert_eq!(streaming.replica_seconds, exact.replica_seconds);
+        assert_eq!(
+            streaming.fleet.merged.metrics.shed,
+            exact.fleet.merged.metrics.shed
+        );
+        assert_eq!(exact.recovery(&slo, 0.5).len(), 1);
+        assert!(streaming.recovery(&slo, 0.5).is_empty());
+        assert!(streaming.attainment_timeline(&slo, 0.5).is_empty());
+    }
+
+    /// A heterogeneous fleet's crashed replica restarts cold on its own
+    /// pipeline, not on the first one.
+    #[test]
+    fn heterogeneous_crash_restarts_on_the_dead_slots_pipeline() {
+        let fast = one_stage_spec(0.02, 2);
+        let slow = one_stage_spec(0.2, 2);
+        let trace = poisson_trace(160, 8.0, 31);
+        let faults = FaultSchedule::new(vec![FaultEvent::Crash {
+            replica: 1,
+            at_s: 5.0,
+            restart_delay_s: 0.5,
+        }]);
+        let run = |specs: Vec<PipelineSpec>| {
+            ChaosEngine::heterogeneous(specs, RouterPolicy::RoundRobin)
+                .with_faults(faults.clone())
+                .run_trace(&trace)
+        };
+        // Slot 2 replaces slot 1. A slow replica's prefix stage alone takes
+        // 0.2 s, bounding every TTFT it serves from below; a fast one's
+        // takes 0.02 s. Scale-outs would run slot 0's pipeline, so both
+        // orders tell the restart path apart from them.
+        let ttfts = |specs| {
+            let report = run(specs);
+            assert_eq!(report.lifetimes.len(), 3);
+            let replacement = &report.fleet.per_replica[2].report;
+            assert!(!replacement.timelines.is_empty());
+            replacement
+                .timelines
+                .iter()
+                .map(|t| t.ttft_s())
+                .collect::<Vec<_>>()
+        };
+        assert!(ttfts(vec![fast.clone(), slow.clone()])
+            .iter()
+            .all(|&t| t >= 0.2 - 1e-9));
+        assert!(ttfts(vec![slow, fast]).iter().all(|&t| t < 0.2));
     }
 
     #[test]

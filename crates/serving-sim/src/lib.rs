@@ -27,39 +27,30 @@
 //!   attainment/goodput against a [`rago_schema::SloTarget`] — and it
 //!   reproduces the two special-case simulators above as degenerate cases
 //!   (`tests/engine_equivalence.rs`).
-//! * **Fleets of replicas** — the scale dimension on top of all three:
-//!   [`cluster::ClusterEngine`] runs N replicas of a pipeline (optionally
-//!   heterogeneous) behind a state-aware router
-//!   ([`rago_schema::RouterPolicy`]), dispatching a shared arrival stream
-//!   and merging the runs into fleet-level metrics with per-replica
-//!   breakdowns and load-imbalance statistics. A one-replica fleet
-//!   reproduces [`engine::ServingEngine::run`] exactly
-//!   (`tests/proptest_cluster.rs`).
-//! * **Time-varying traffic and autoscaling** — the fleet size itself as a
-//!   dynamic quantity: [`autoscaler::AutoscaleEngine`] re-evaluates a
-//!   reactive [`autoscaler::AutoscalerPolicy`] while the simulation runs,
-//!   scaling out on queue-depth (or recent-SLO-attainment) triggers,
-//!   scaling in only after a cooldown, and holding new replicas out of the
-//!   router during their warm-up — the provisioning loop a diurnal or spiky
-//!   [`rago_workloads::ArrivalProcess`] exercises. Requests carry
-//!   workload-class tags ([`rago_workloads::WorkloadMix`]), and every
-//!   report breaks metrics down per tenant class
-//!   ([`engine::ClassMetrics`]).
-//! * **Faults, admission control, and planned scaling** — the chaos
-//!   dimension: [`faults::ChaosEngine`] wraps the same replica fleet with a
-//!   deterministic [`faults::FaultSchedule`] (replica crashes with cold
-//!   restarts, stragglers, spot preemptions with advance notice), SLO-aware
-//!   admission control that sheds excess load in priority order
-//!   ([`faults::AdmissionConfig`]), and a third scaling driver — a
-//!   [`faults::PredictivePolicy`] that executes a precomputed
-//!   [`faults::ScalingPlan`] instead of reacting to queue depth. Reports
-//!   add a fault ledger, per-class shed counts, windowed attainment
-//!   timelines, and per-disruption recovery metrics
-//!   ([`faults::RecoveryMetrics`]). With no faults and no admission
-//!   config, the chaos engine is bit-identical to the engines it wraps
-//!   (`tests/proptest_faults.rs`, `tests/golden_regression.rs`).
-//! * **Disaggregated prefill/decode pools** — the placement dimension:
-//!   [`pools::DisaggEngine`] splits the fleet into a typed Prefill pool and
+//! * **Fleets of replicas** — the scale dimension on top of all three, in
+//!   one fleet loop: [`faults::ChaosEngine`] runs replicas of a pipeline
+//!   (optionally one pipeline per replica) behind a state-aware router
+//!   ([`rago_schema::RouterPolicy`], [`cluster`]), dispatching a shared
+//!   arrival stream and merging the runs into a [`cluster::FleetReport`]
+//!   with per-replica breakdowns and load-imbalance statistics. A
+//!   [`faults::ScaleDriver`] sizes the fleet: a static fleet; the reactive
+//!   [`autoscaler::AutoscalerPolicy`] (queue-depth or
+//!   recent-SLO-attainment scale-out, cooldown-gated scale-in, warm-up held
+//!   out of the router); or a predictive [`faults::ScalingPlan`]. The same
+//!   loop injects a deterministic [`faults::FaultSchedule`] (replica
+//!   crashes with cold restarts, stragglers, spot preemptions with advance
+//!   notice) and sheds excess load in priority order
+//!   ([`faults::AdmissionConfig`]). Requests carry workload-class tags
+//!   ([`rago_workloads::WorkloadMix`]) and every report breaks metrics down
+//!   per tenant class ([`engine::ClassMetrics`]). Reports add the scaling
+//!   history, replica-seconds, a fault ledger, per-class shed counts, and
+//!   windowed attainment timelines with per-disruption recovery metrics
+//!   ([`faults::RecoveryMetrics`]). Every run takes a [`MetricsMode`]:
+//!   streaming fleets keep `O(buckets)` metric state per replica, faults
+//!   included. A one-replica static fleet reproduces
+//!   [`engine::ServingEngine::run`] exactly (`tests/proptest_cluster.rs`).
+//! * **Disaggregated prefill/decode pools** — the placement dimension, and
+//!   the one other fleet loop: [`pools::DisaggEngine`] splits the fleet into a typed Prefill pool and
 //!   a Decode pool (Splitwise/DistServe style). A request finishing its
 //!   pre-decode stages on a prefill replica emits its first token there and
 //!   hands its KV state across the interconnect — priced by a
@@ -138,10 +129,9 @@ pub mod sink;
 pub mod telemetry;
 
 pub use autoscaler::{
-    AttainmentTrigger, AutoscaleEngine, AutoscaleReport, AutoscalerPolicy, ReplicaLifetime,
-    ScalingAction, ScalingEvent,
+    AttainmentTrigger, AutoscalerPolicy, ReplicaLifetime, ScalingAction, ScalingEvent,
 };
-pub use cluster::{ClusterEngine, FleetReport, LoadImbalance, ReplicaReport};
+pub use cluster::{FleetReport, LoadImbalance, ReplicaReport};
 pub use engine::{
     sustained_throughput_knee, CachePlan, CacheProbe, CacheUsage, ClassCacheUsage, ClassMetrics,
     DecodeSpec, EngineRequest, IterativeSpec, LatencyStats, LatencyTable, PipelineSpec,

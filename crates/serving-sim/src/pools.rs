@@ -8,7 +8,7 @@
 //!
 //! 1. Arrivals route across the Prefill pool with the fleet's arrival
 //!    [`RouterPolicy`] (state-aware, same semantics as
-//!    [`crate::cluster::ClusterEngine`]).
+//!    [`crate::faults::ChaosEngine`]).
 //! 2. A request finishing its last pre-decode stage on a prefill replica
 //!    emits its first token there and a *handoff* record; the
 //!    [`KvTransferModel`] prices the KV transfer (bytes from prefix length,
@@ -32,7 +32,7 @@
 //! [`KvTransferModel::zero`] reproduces the monolithic engine's per-request
 //! timings exactly (`tests/proptest_pools.rs`), and a single-Monolithic-pool
 //! fleet never enters this module at all — the core evaluators dispatch it
-//! to [`crate::cluster::ClusterEngine`] unchanged.
+//! to [`crate::faults::ChaosEngine`] unchanged.
 //!
 //! # Examples
 //!
@@ -375,7 +375,7 @@ impl DisaggEngine {
 
     /// Creates the engine from a disaggregated [`FleetConfig`], or `None`
     /// when the fleet is flat / single-Monolithic-pool (callers dispatch
-    /// those to [`crate::cluster::ClusterEngine`] unchanged).
+    /// those to [`crate::faults::ChaosEngine`] unchanged).
     pub fn from_fleet(
         prefill_spec: PipelineSpec,
         decode_spec: PipelineSpec,

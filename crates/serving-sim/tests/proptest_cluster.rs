@@ -1,4 +1,4 @@
-//! Property-based tests for the fleet-level cluster simulation.
+//! Property-based tests for the fleet engine with a static driver.
 //!
 //! Two invariants hold for *every* router policy:
 //!
@@ -8,14 +8,32 @@
 //! 2. **Degeneracy** — a one-replica fleet reproduces
 //!    [`ServingEngine::run`] exactly (bit-identical timelines and metrics),
 //!    because the shared-clock composition of `ReplicaSim` preserves the
-//!    engine's event order.
+//!    engine's event order — in exact and in streaming metrics mode.
 
 use proptest::prelude::*;
-use rago_schema::RouterPolicy;
-use rago_serving_sim::cluster::ClusterEngine;
+use rago_schema::{HistogramSpec, RouterPolicy, SloTarget};
 use rago_serving_sim::engine::{
     DecodeSpec, EngineRequest, IterativeSpec, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
 };
+use rago_serving_sim::faults::{ChaosEngine, ScaleDriver};
+use rago_serving_sim::{MetricsMode, StreamingConfig};
+
+/// A static fleet of `replicas` copies of `spec`.
+fn static_fleet(spec: PipelineSpec, replicas: usize, router: RouterPolicy) -> ChaosEngine {
+    let replicas = u32::try_from(replicas).expect("small fleet");
+    ChaosEngine::new(spec, router, ScaleDriver::Static { replicas })
+}
+
+/// Exact metrics, or streaming with an SLO counted online.
+fn mode(streaming: bool) -> MetricsMode {
+    if streaming {
+        MetricsMode::Streaming(
+            StreamingConfig::new(HistogramSpec::default()).with_slo(SloTarget::new(0.5, 0.01)),
+        )
+    } else {
+        MetricsMode::Exact
+    }
+}
 
 /// Builds a pipeline with one or two pre-decode stages plus decode.
 fn pipeline(
@@ -83,8 +101,8 @@ proptest! {
     ) {
         let spec = pipeline(stages, stage_batch, 0.01, collocate, decode_batch, 1e-3);
         let reqs = requests(n, gap);
-        let fleet = ClusterEngine::homogeneous(spec, replicas, policy(policy_idx));
-        let report = fleet.run(reqs.clone());
+        let fleet = static_fleet(spec, replicas, policy(policy_idx));
+        let report = fleet.run(reqs.clone()).fleet;
 
         // Union of per-replica timelines == input set, no loss/duplication.
         let mut seen: Vec<u64> = report
@@ -133,14 +151,16 @@ proptest! {
         stage_batch in 1u32..8,
         decode_batch in 1u32..16,
         step_latency in 1e-4f64..0.01,
+        streaming in any::<bool>(),
     ) {
         let spec = pipeline(stages, stage_batch, 0.015, collocate, decode_batch, step_latency);
         let reqs = requests(n, gap);
-        let engine = ServingEngine::new(spec.clone(), reqs.clone()).run();
-        let fleet = ClusterEngine::homogeneous(spec, 1, policy(policy_idx)).run(reqs);
+        let mode = mode(streaming);
+        let engine = ServingEngine::new(spec.clone(), reqs.clone()).run_with_mode(&mode);
+        let fleet = static_fleet(spec, 1, policy(policy_idx)).run_with_mode(reqs, &mode).fleet;
         prop_assert_eq!(&fleet.merged, &engine, "one-replica fleet diverged from the engine");
         prop_assert_eq!(&fleet.per_replica[0].report, &engine);
-        prop_assert_eq!(fleet.per_replica[0].assigned, engine.timelines.len());
+        prop_assert_eq!(fleet.per_replica[0].assigned, engine.metrics.requests);
     }
 
     /// The exact-degeneracy property survives iterative retrieval, whose
@@ -154,6 +174,7 @@ proptest! {
         iterative_batch in 1u32..8,
         retrieval_latency in 0.0f64..0.05,
         seed in 0u64..200,
+        streaming in any::<bool>(),
     ) {
         let spec = pipeline(1, 4, 0.01, false, 16, 2e-3).with_iterative(IterativeSpec {
             retrievals_per_sequence: retrievals,
@@ -162,8 +183,9 @@ proptest! {
             seed,
         });
         let reqs = requests(n, gap);
-        let engine = ServingEngine::new(spec.clone(), reqs.clone()).run();
-        let fleet = ClusterEngine::homogeneous(spec, 1, policy(policy_idx)).run(reqs);
+        let mode = mode(streaming);
+        let engine = ServingEngine::new(spec.clone(), reqs.clone()).run_with_mode(&mode);
+        let fleet = static_fleet(spec, 1, policy(policy_idx)).run_with_mode(reqs, &mode).fleet;
         prop_assert_eq!(&fleet.merged, &engine);
     }
 
@@ -177,7 +199,7 @@ proptest! {
     ) {
         let run = || {
             let spec = pipeline(1, 4, 0.01, false, 8, 1e-3);
-            ClusterEngine::homogeneous(spec, replicas, policy(policy_idx)).run(requests(n, gap))
+            static_fleet(spec, replicas, policy(policy_idx)).run(requests(n, gap))
         };
         prop_assert_eq!(run(), run());
     }

@@ -7,16 +7,21 @@
 //!   summation order — and online SLO counts match post-hoc scoring.
 //! * Injection order is canonical: shuffled or reversed request vectors
 //!   produce reports identical to sorted input, for the single-replica
-//!   engine and the autoscaler alike (the `sort_by_arrival` fast path
+//!   engine and the autoscaled fleet alike (the `sort_by_arrival` fast path
 //!   must never change what a run computes, only what it costs).
 //! * Empty and single-request traces run in both modes without NaNs.
+//! * The fleet engine's streaming runs count exactly what its exact runs
+//!   count, for every scale driver and with replicas dying mid-run.
 
 use proptest::prelude::*;
 use rago_schema::{HistogramSpec, RouterPolicy, SloTarget};
-use rago_serving_sim::autoscaler::{AutoscaleEngine, AutoscalerPolicy};
+use rago_serving_sim::autoscaler::AutoscalerPolicy;
 use rago_serving_sim::engine::{
     DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, RequestTimeline, ServingEngine,
     StageSpec,
+};
+use rago_serving_sim::faults::{
+    AdmissionConfig, ChaosEngine, CrashPolicy, FaultEvent, FaultSchedule, ScaleDriver,
 };
 use rago_serving_sim::{MetricsMode, StreamingConfig};
 
@@ -125,6 +130,73 @@ proptest! {
         }
     }
 
+    /// One fleet loop, two metrics pipelines: under the static, reactive
+    /// and crash-with-requeue drivers (admission on or off), a streaming
+    /// run counts exactly what the exact run counts — completions, sheds,
+    /// failures, retries, SLO met counts for the run and per class — and
+    /// pays the same replica-seconds.
+    #[test]
+    fn fleet_streaming_counts_match_exact(
+        raw in prop::collection::vec((0.0f64..6.0, 1u32..30, 0u32..3), 1..150),
+        driver_choice in 0u32..3,
+        replicas in 1u32..4,
+        router_idx in 0usize..6,
+        crash_at in 0.0f64..6.0,
+        shed in any::<bool>(),
+        shed_depth in 0.5f64..6.0,
+    ) {
+        let router = RouterPolicy::ALL[router_idx % RouterPolicy::ALL.len()];
+        let driver = match driver_choice {
+            1 => ScaleDriver::Reactive(
+                AutoscalerPolicy::new(1, replicas + 1)
+                    .with_evaluation_interval(0.25)
+                    .with_scale_out_queue_depth(2.0)
+                    .with_cooldown(0.5)
+                    .with_warmup(0.2),
+            ),
+            _ => ScaleDriver::Static { replicas },
+        };
+        let mut engine = ChaosEngine::new(pipeline(4, 16), router, driver);
+        if driver_choice == 2 {
+            engine = engine
+                .with_faults(FaultSchedule::new(vec![FaultEvent::Crash {
+                    replica: 0,
+                    at_s: crash_at,
+                    restart_delay_s: 0.5,
+                }]))
+                .with_crash_policy(CrashPolicy::Requeue);
+        }
+        if shed {
+            engine = engine.with_admission(AdmissionConfig::new(shed_depth, 1.0));
+        }
+        let slo = SloTarget::new(0.5, 0.01);
+        let requests = requests_from(&raw);
+        let exact = engine.run(requests.clone());
+        let streaming = engine.run_with_mode(
+            requests,
+            &MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()).with_slo(slo)),
+        );
+
+        prop_assert!(streaming.fleet.merged.timelines.is_empty());
+        prop_assert_eq!(&streaming.fault, &exact.fault);
+        prop_assert_eq!(streaming.fleet.merged.metrics.completed, exact.fault.completed);
+        prop_assert_eq!(streaming.fleet.merged.metrics.shed, exact.fleet.merged.metrics.shed);
+        prop_assert_eq!(streaming.fleet.merged.slo_met(&slo), exact.fleet.merged.slo_met(&slo));
+        for class in 0..3 {
+            prop_assert_eq!(
+                streaming.fleet.merged.class_slo_counts(class, &slo),
+                exact.fleet.merged.class_slo_counts(class, &slo)
+            );
+        }
+        prop_assert_eq!(
+            streaming.offered_attainment(&slo).to_bits(),
+            exact.offered_attainment(&slo).to_bits()
+        );
+        prop_assert_eq!(streaming.replica_seconds.to_bits(), exact.replica_seconds.to_bits());
+        prop_assert_eq!(&streaming.lifetimes, &exact.lifetimes);
+        prop_assert_eq!(&streaming.events, &exact.events);
+    }
+
     /// Injection order is canonical: reversed and strided-shuffled request
     /// vectors produce byte-identical reports in both metrics modes.
     #[test]
@@ -166,7 +238,11 @@ fn autoscaler_report_is_invariant_to_injection_order() {
         .with_scale_out_queue_depth(4.0)
         .with_scale_in_outstanding(1.0)
         .with_cooldown(1.0);
-    let engine = AutoscaleEngine::new(spec, RouterPolicy::LeastOutstanding, policy);
+    let engine = ChaosEngine::new(
+        spec,
+        RouterPolicy::LeastOutstanding,
+        ScaleDriver::Reactive(policy),
+    );
     let mode = MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()));
 
     let mut reversed = requests.clone();

@@ -78,7 +78,7 @@ use rago::serving_sim::faults::{
     AdmissionConfig, ChaosEngine, ChaosReport, FaultEvent, FaultSchedule, ScaleDriver,
 };
 use rago::serving_sim::pools::{DisaggEngine, PoolReport};
-use rago::serving_sim::{ClusterEngine, MetricsMode};
+use rago::serving_sim::MetricsMode;
 use rago::workloads::{
     ArrivalProcess, ContentSpec, MixTraceSpec, PopularityModel, RequestClass, TraceSpec,
     WorkloadMix,
@@ -771,7 +771,9 @@ fn golden_chaos_degenerate_reproduces_engine_metrics() {
 
 /// The elastic degenerate pin: the faultless reactive chaos evaluation
 /// under the `timevarying.json` scenario is bit-identical to the
-/// autoscaled time-varying evaluation the golden was rendered from.
+/// autoscaled time-varying evaluation the golden was rendered from. Both
+/// evaluators drive the one fleet loop, so this pins their two scoring
+/// paths (offered vs completed accounting) against each other.
 #[test]
 fn golden_chaos_degenerate_matches_autoscaler_scenario() {
     use rago::core::faulted::FaultScenario;
@@ -970,11 +972,16 @@ fn golden_single_monolithic_pool_reproduces_engine_metrics() {
     let [pool] = fleet.pools.as_slice() else {
         panic!("fleet declares exactly one pool");
     };
-    let report =
-        ClusterEngine::homogeneous(engine_metrics_spec(), pool.replicas as usize, pool.router)
-            .run_trace(&engine_metrics_trace());
+    let report = ChaosEngine::new(
+        engine_metrics_spec(),
+        pool.router,
+        ScaleDriver::Static {
+            replicas: pool.replicas,
+        },
+    )
+    .run_trace(&engine_metrics_trace());
     check_golden(
         "engine_metrics.json",
-        &render_engine_metrics(&report.merged),
+        &render_engine_metrics(&report.fleet.merged),
     );
 }

@@ -210,7 +210,10 @@ fn null_recorder_runs_are_bit_identical() {
 
     let chaos = chaos_scenario();
     let untraced = chaos.run(reqs.clone());
-    assert_eq!(untraced, chaos.run_traced(reqs.clone(), &mut NullRecorder));
+    assert_eq!(
+        untraced,
+        chaos.run_traced(reqs.clone(), &MetricsMode::Exact, &mut NullRecorder)
+    );
     let (report, rec) = chaos.run_telemetry(reqs.clone());
     assert_eq!(untraced, report);
     assert!(rec.is_empty(), "a disabled config must record nothing");

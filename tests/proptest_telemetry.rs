@@ -17,8 +17,8 @@
 //!    request the report does not know, no completed request missing from
 //!    the trace.
 //! 4. **`NullRecorder` bit-identity** — for any router policy, metrics
-//!    mode, fleet size, and engine family (flat, cluster, autoscaled,
-//!    chaos, disaggregated), `run_traced` with a [`NullRecorder`] returns
+//!    mode, fleet size, and engine family (flat; the fleet engine with a
+//!    static, reactive or faulted fleet; disaggregated), `run_traced` with a [`NullRecorder`] returns
 //!    a report equal to the untraced run, and a disabled
 //!    [`TelemetryConfig`] records zero events.
 
@@ -26,13 +26,13 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use rago::schema::{KvTransferModel, RouterPolicy};
-use rago::serving_sim::autoscaler::{AutoscaleEngine, AutoscalerPolicy};
+use rago::serving_sim::autoscaler::AutoscalerPolicy;
 use rago::serving_sim::engine::{
     DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, ServingEngine, StageSpec,
 };
 use rago::serving_sim::faults::{ChaosEngine, FaultEvent, FaultSchedule, ScaleDriver};
 use rago::serving_sim::pools::DisaggEngine;
-use rago::serving_sim::{ClusterEngine, MetricsMode, StreamingConfig};
+use rago::serving_sim::{MetricsMode, StreamingConfig};
 use rago::telemetry::{
     sort_events, Lane, NullRecorder, Phase, TelemetryConfig, TraceEvent, TraceRecorder,
 };
@@ -221,18 +221,24 @@ proptest! {
             flat.run_traced(&mode, &mut NullRecorder)
         );
 
-        let cluster = ClusterEngine::homogeneous(pipeline(0.01, 4), replicas, policy);
+        let cluster = ChaosEngine::new(
+            pipeline(0.01, 4),
+            policy,
+            ScaleDriver::Static { replicas: replicas as u32 },
+        );
         prop_assert_eq!(
             cluster.run_with_mode(reqs.clone(), &mode),
             cluster.run_traced(reqs.clone(), &mode, &mut NullRecorder)
         );
 
-        let scaler = AutoscaleEngine::new(
+        let scaler = ChaosEngine::new(
             pipeline(0.01, 4),
             policy,
-            AutoscalerPolicy::new(1, replicas as u32)
-                .with_evaluation_interval(0.1)
-                .with_scale_out_queue_depth(3.0),
+            ScaleDriver::Reactive(
+                AutoscalerPolicy::new(1, replicas as u32)
+                    .with_evaluation_interval(0.1)
+                    .with_scale_out_queue_depth(3.0),
+            ),
         );
         prop_assert_eq!(
             scaler.run_with_mode(reqs.clone(), &mode),
@@ -251,8 +257,8 @@ proptest! {
         }]));
         let untraced = chaos.run(reqs.clone());
         prop_assert_eq!(
-            untraced.clone(),
-            chaos.run_traced(reqs.clone(), &mut NullRecorder)
+            chaos.run_with_mode(reqs.clone(), &mode),
+            chaos.run_traced(reqs.clone(), &mode, &mut NullRecorder)
         );
         // Disabled config: same report, empty recorder.
         let (report, rec) = chaos.run_telemetry(reqs.clone());
@@ -296,7 +302,7 @@ proptest! {
         }]))
         .with_telemetry(TelemetryConfig::full(0.25));
         let mut rec = TraceRecorder::new(TelemetryConfig::full(0.25));
-        let traced = engine.run_traced(requests(n, 0.02), &mut rec);
+        let traced = engine.run_traced(requests(n, 0.02), &MetricsMode::Exact, &mut rec);
         let untraced = engine.run(requests(n, 0.02));
         prop_assert_eq!(traced, untraced);
         prop_assert!(!rec.is_empty());
