@@ -27,7 +27,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rago_cache::{CacheConfig, EvictionPolicy, PrefixKvCacheConfig, RetrievalCacheConfig};
-use rago_core::{CapacityOptions, Rago, SearchOptions};
+use rago_core::{CapacityOptions, Rago, Scenario, SearchOptions};
 use rago_schema::presets::{self, LlmSize};
 use rago_schema::{FleetConfig, RouterPolicy, SequenceProfile, SloTarget};
 use rago_serving_sim::engine::sustained_throughput_knee;
@@ -191,15 +191,13 @@ fn bench_cache_json(_c: &mut Criterion) {
     let routing_trace = trace_at(peak_rate, duration_s, 211);
     let mut routing_rows = Vec::new();
     let mut hit_rate_of = |router: RouterPolicy| -> (f64, f64) {
+        let fleet = FleetConfig::new(fleet_size, router);
+        let scenario =
+            Scenario::new(best.schedule.clone(), fleet, &routing_trace, slo).with_cache(cache);
         let eval = rago
-            .evaluate_fleet_cached(
-                &best.schedule,
-                &FleetConfig::new(fleet_size, router),
-                &routing_trace,
-                &slo,
-                &cache,
-            )
-            .expect("fleet evaluation succeeds");
+            .evaluate_scenario(&scenario)
+            .expect("fleet evaluation succeeds")
+            .into_fleet();
         let hit_rate = eval.report.merged.cache.prefix.hit_rate();
         routing_rows.push(format!(
             "    {{\"router\": \"{router}\", \"prefix_hit_rate\": {hit_rate:.4}, \

@@ -22,22 +22,24 @@
 //!   chip-hours.
 //! * `degradation_proportional` — the highest-priority class's attainment
 //!   drop under the crash stays below the fleet share of the lost replica.
-//! * `matches_baseline` — with no faults and no admission the chaos
-//!   engine's report is bit-identical to the time-varying evaluation.
+//! * `matches_baseline` — the faultless reactive run scores bit-identically
+//!   in exact and streaming metrics mode (attainment, goodput,
+//!   replica-seconds and every per-class outcome).
 //!
 //! Set `RAGO_BENCH_QUICK=1` for the CI-friendly quick mode (shorter
 //! profile, same JSON shape). The bench refuses to write non-finite
 //! numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rago_core::faulted::{scaling_plan_from_profile, FaultScenario, FaultedEvaluation};
-use rago_core::{CapacityOptions, Rago, SearchOptions};
+use rago_core::faulted::scaling_plan_from_profile;
+use rago_core::{CapacityOptions, FleetEvaluation, Rago, Scenario, SearchOptions};
 use rago_schema::presets::{self, LlmSize};
-use rago_schema::{FleetConfig, RouterPolicy, SequenceProfile, SloTarget};
+use rago_schema::{FleetConfig, HistogramSpec, RouterPolicy, SequenceProfile, SloTarget};
 use rago_serving_sim::autoscaler::AutoscalerPolicy;
 use rago_serving_sim::faults::{
     AdmissionConfig, FaultEvent, FaultSchedule, PredictivePolicy, ScaleDriver,
 };
+use rago_serving_sim::{MetricsMode, StreamingConfig};
 use rago_workloads::{ArrivalProcess, MixTraceSpec, RateSegment, RequestClass, WorkloadMix};
 
 /// Discretizes one diurnal cycle (trough → peak → trough) into piecewise
@@ -57,7 +59,7 @@ fn diurnal_segments(base_rps: f64, peak_rps: f64, period_s: f64, n: usize) -> Ve
         .collect()
 }
 
-fn class_rows(eval: &FaultedEvaluation) -> String {
+fn class_rows(eval: &FleetEvaluation) -> String {
     eval.per_class
         .iter()
         .map(|c| {
@@ -76,6 +78,13 @@ fn class_rows(eval: &FaultedEvaluation) -> String {
         })
         .collect::<Vec<_>>()
         .join(",\n")
+}
+
+fn peak_provisioned(eval: &FleetEvaluation) -> u32 {
+    eval.scaling
+        .as_ref()
+        .expect("an elastic run has a scaling history")
+        .peak_provisioned
 }
 
 fn bench_chaos_json(_c: &mut Criterion) {
@@ -132,31 +141,25 @@ fn bench_chaos_json(_c: &mut Criterion) {
         .with_scale_in_outstanding(10.0)
         .with_cooldown(1.0)
         .with_warmup(warmup_s);
-    let reactive = rago
-        .evaluate_fleet_faulted(
-            &best.schedule,
-            RouterPolicy::LeastOutstanding,
-            &mix,
-            &trace,
-            &FaultScenario::new(ScaleDriver::Reactive(reactive_policy)),
-        )
-        .expect("reactive run succeeds");
+    let run = |scenario: Scenario<'_>| {
+        rago.evaluate_scenario(&scenario)
+            .expect("the scenario evaluates")
+            .into_fleet()
+    };
+    // The driver owns the replica count; the fleet supplies the router.
+    let fleet = FleetConfig::new(1, RouterPolicy::LeastOutstanding);
+    let elastic = |driver: ScaleDriver| {
+        Scenario::new(best.schedule.clone(), fleet.clone(), &trace, mix.clone()).with_driver(driver)
+    };
+    let reactive = run(elastic(ScaleDriver::Reactive(reactive_policy)));
 
     // Feed the planner's replica schedule forward, led by the warm-up so
     // capacity lands *before* each rate change.
     let plan = scaling_plan_from_profile(&capacity_profile, warmup_s);
     let plan_steps = plan.steps.len();
-    let predictive = rago
-        .evaluate_fleet_faulted(
-            &best.schedule,
-            RouterPolicy::LeastOutstanding,
-            &mix,
-            &trace,
-            &FaultScenario::new(ScaleDriver::Predictive(PredictivePolicy::new(
-                plan, warmup_s,
-            ))),
-        )
-        .expect("predictive run succeeds");
+    let predictive = run(elastic(ScaleDriver::Predictive(PredictivePolicy::new(
+        plan, warmup_s,
+    ))));
 
     let predictive_beats_reactive = predictive.attainment >= reactive.attainment
         && predictive.chip_seconds <= reactive.chip_seconds;
@@ -166,21 +169,16 @@ fn bench_chaos_json(_c: &mut Criterion) {
         predictive.attainment, predictive.chip_seconds, reactive.attainment, reactive.chip_seconds
     );
 
-    // ---- Baseline pin: faultless chaos run == time-varying evaluation ----
-    let baseline = rago
-        .evaluate_fleet_timevarying(
-            &best.schedule,
-            &FleetConfig::new(max_replicas, RouterPolicy::LeastOutstanding),
-            &mix,
-            &trace,
-            Some(&reactive_policy),
-        )
-        .expect("baseline evaluation succeeds");
-    let matches_baseline = reactive.chaos.fleet == baseline.report
-        && reactive.replica_seconds == baseline.replica_seconds;
+    // ---- Baseline pin: the faultless reactive run, exact == streaming ----
+    let streaming = MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()));
+    let streamed = run(elastic(ScaleDriver::Reactive(reactive_policy)).with_mode(streaming));
+    let matches_baseline = streamed.attainment.to_bits() == reactive.attainment.to_bits()
+        && streamed.goodput_rps.to_bits() == reactive.goodput_rps.to_bits()
+        && streamed.replica_seconds.to_bits() == reactive.replica_seconds.to_bits()
+        && streamed.per_class == reactive.per_class;
     assert!(
         matches_baseline,
-        "faultless chaos run diverged from the time-varying baseline"
+        "the streaming reactive run diverged from the exact one"
     );
 
     // ---- Run C: crash at the peak, three priorities, admission on ----
@@ -222,38 +220,24 @@ fn bench_chaos_json(_c: &mut Criterion) {
     .generate();
     let crash_replicas = max_replicas.max(2);
     let crash_at_s = period_s / 2.0; // the diurnal peak
-    let healthy = rago
-        .evaluate_fleet_faulted(
-            &best.schedule,
-            RouterPolicy::LeastOutstanding,
-            &crash_mix,
-            &crash_trace,
-            &FaultScenario::new(ScaleDriver::Static {
-                replicas: crash_replicas,
-            }),
-        )
-        .expect("healthy run succeeds");
-    let crash_scenario = FaultScenario::new(ScaleDriver::Static {
-        replicas: crash_replicas,
-    })
-    .with_faults(FaultSchedule::new(vec![FaultEvent::Crash {
-        replica: 0,
-        at_s: crash_at_s,
-        restart_delay_s: period_s / 8.0,
-    }]))
-    .with_admission(AdmissionConfig::new(4.0, 24.0))
-    .with_recovery_slo(crash_mix.classes[2].slo)
-    .with_recovery_window(period_s / 32.0);
-    let crashed = rago
-        .evaluate_fleet_faulted(
-            &best.schedule,
-            RouterPolicy::LeastOutstanding,
-            &crash_mix,
-            &crash_trace,
-            &crash_scenario,
-        )
-        .expect("crash run succeeds");
-    assert_eq!(crashed.chaos.fault.disruptions.len(), 1);
+    let healthy = Scenario::new(
+        best.schedule.clone(),
+        FleetConfig::new(crash_replicas, RouterPolicy::LeastOutstanding),
+        &crash_trace,
+        crash_mix.clone(),
+    );
+    let crashed = run(healthy
+        .clone()
+        .with_faults(FaultSchedule::new(vec![FaultEvent::Crash {
+            replica: 0,
+            at_s: crash_at_s,
+            restart_delay_s: period_s / 8.0,
+        }]))
+        .with_admission(AdmissionConfig::new(4.0, 24.0))
+        .with_recovery_slo(crash_mix.classes[2].slo)
+        .with_recovery_window(period_s / 32.0));
+    let healthy = run(healthy);
+    assert_eq!(crashed.fault.disruptions.len(), 1);
 
     let top_drop = (healthy.per_class[2].attainment - crashed.per_class[2].attainment).max(0.0);
     let fleet_share = 1.0 / f64::from(crash_replicas);
@@ -297,18 +281,18 @@ fn bench_chaos_json(_c: &mut Criterion) {
         segments.len(),
         reactive.attainment,
         reactive.chip_hours(),
-        reactive.scaling.peak_provisioned,
-        reactive.chaos.fault.shed,
-        reactive.chaos.fault.failed,
+        peak_provisioned(&reactive),
+        reactive.fault.shed,
+        reactive.fault.failed,
         predictive.attainment,
         predictive.chip_hours(),
-        predictive.scaling.peak_provisioned,
+        peak_provisioned(&predictive),
         period_s / 8.0,
-        crashed.chaos.fault.injected,
-        crashed.chaos.fault.completed,
-        crashed.chaos.fault.shed,
-        crashed.chaos.fault.failed,
-        crashed.chaos.fault.retried,
+        crashed.fault.injected,
+        crashed.fault.completed,
+        crashed.fault.shed,
+        crashed.fault.failed,
+        crashed.fault.retried,
         class_rows(&healthy),
         class_rows(&crashed),
     );

@@ -27,7 +27,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rago_core::disagg::transfer_model_from_interconnect;
-use rago_core::{BatchingPolicy, PlacementPlan, Rago, ResourceAllocation, Schedule};
+use rago_core::{BatchingPolicy, PlacementPlan, Rago, ResourceAllocation, Scenario, Schedule};
 use rago_hardware::InterconnectSpec;
 use rago_schema::presets::{self, LlmSize};
 use rago_schema::{FleetConfig, KvTransferModel, RouterPolicy, SequenceProfile, SloTarget, Stage};
@@ -82,6 +82,11 @@ fn bench_disagg_json(_c: &mut Criterion) {
     let chips_collocated = schedule.allocation.total_xpus();
     let chips_prefill: u32 = schedule.allocation.group_xpus.iter().sum();
     let chips_decode = schedule.allocation.decode_xpus;
+    let run = |fleet: FleetConfig, trace: &Trace, slo: &SloTarget| {
+        let scenario = Scenario::new(schedule.clone(), fleet, trace, *slo);
+        rago.evaluate_scenario(&scenario)
+            .expect("the scenario evaluates")
+    };
 
     let rates: &[f64] = if quick {
         &[120.0, 160.0]
@@ -110,14 +115,8 @@ fn bench_disagg_json(_c: &mut Criterion) {
             // paying for the full schedule's chips.
             let mut collocated: Option<Best> = None;
             for n in 1..=3u32 {
-                let eval = rago
-                    .evaluate_fleet(
-                        &schedule,
-                        &FleetConfig::new(n, RouterPolicy::LeastOutstanding),
-                        &trace,
-                        slo,
-                    )
-                    .expect("collocated evaluation succeeds");
+                let fleet = FleetConfig::new(n, RouterPolicy::LeastOutstanding);
+                let eval = run(fleet, &trace, slo).into_fleet();
                 let per_chip = eval.goodput_rps / f64::from(chips_collocated * n);
                 if n == 1 {
                     collocated_points.push((rate, eval.attainment));
@@ -140,9 +139,9 @@ fn bench_disagg_json(_c: &mut Criterion) {
             for &(p, d) in splits {
                 let fleet =
                     FleetConfig::split(p, d, RouterPolicy::LeastOutstanding).with_transfer(torus);
-                let eval = rago
-                    .evaluate_fleet_disagg(&schedule, &fleet, &trace, slo)
-                    .expect("disaggregated evaluation succeeds");
+                let eval = run(fleet, &trace, slo)
+                    .into_disagg()
+                    .expect("a split fleet evaluates disaggregated");
                 if (p, d) == (1, 1) {
                     disagg_points.push((rate, eval.attainment));
                 }
@@ -212,9 +211,9 @@ fn bench_disagg_json(_c: &mut Criterion) {
     for (name, transfer) in &links {
         let fleet =
             FleetConfig::split(2, 1, RouterPolicy::LeastOutstanding).with_transfer(*transfer);
-        let eval = rago
-            .evaluate_fleet_disagg(&schedule, &fleet, &trace, tight_slo)
-            .expect("sensitivity evaluation succeeds");
+        let eval = run(fleet, &trace, tight_slo)
+            .into_disagg()
+            .expect("a split fleet evaluates disaggregated");
         let t = &eval.report.transfers;
         let mean_latency_s = t.latency_total_s / t.transfers.max(1) as f64;
         if eval.goodput_per_chip > previous + 1e-9 {

@@ -20,10 +20,11 @@
 //! the file's presence and NaN-freeness.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rago_core::{CapacityOptions, Rago, SearchOptions};
+use rago_core::{CapacityOptions, FleetEvaluation, Rago, Scenario, SearchOptions};
 use rago_schema::presets::{self, LlmSize};
 use rago_schema::{FleetConfig, RouterPolicy, SequenceProfile, SloTarget};
 use rago_serving_sim::engine::sustained_throughput_knee;
+use rago_workloads::Trace;
 use rago_workloads::{ArrivalProcess, TraceSpec};
 
 struct ScalePoint {
@@ -85,6 +86,12 @@ fn bench_fleet_json(_c: &mut Criterion) {
         .expect("non-empty frontier")
         .clone();
     let static_qps = best.performance.qps.max(1e-9);
+    let run = |fleet: FleetConfig, trace: &Trace| -> FleetEvaluation {
+        let scenario = Scenario::new(best.schedule.clone(), fleet, trace, slo);
+        rago.evaluate_scenario(&scenario)
+            .expect("fleet evaluation succeeds")
+            .into_fleet()
+    };
 
     // Study 1: attainment vs replica count on a shared absolute rate grid
     // (so knees are directly comparable across fleet sizes).
@@ -100,14 +107,7 @@ fn bench_fleet_json(_c: &mut Criterion) {
         let mut points = Vec::new();
         for &f in fractions {
             let rate = f * static_qps;
-            let eval = rago
-                .evaluate_fleet(
-                    &best.schedule,
-                    &fleet,
-                    &trace_at(rate, duration_s, profile),
-                    &slo,
-                )
-                .expect("fleet evaluation succeeds");
+            let eval = run(fleet.clone(), &trace_at(rate, duration_s, profile));
             points.push(ScalePoint {
                 rate_rps: rate,
                 attainment: eval.attainment,
@@ -144,14 +144,7 @@ fn bench_fleet_json(_c: &mut Criterion) {
     let policy_trace = trace_at(policy_rate, duration_s, profile);
     let mut policy_rows = Vec::new();
     for policy in RouterPolicy::ALL {
-        let eval = rago
-            .evaluate_fleet(
-                &best.schedule,
-                &FleetConfig::new(policy_replicas, policy),
-                &policy_trace,
-                &slo,
-            )
-            .expect("fleet evaluation succeeds");
+        let eval = run(FleetConfig::new(policy_replicas, policy), &policy_trace);
         policy_rows.push(PolicyRow {
             policy,
             attainment: eval.attainment,
@@ -185,16 +178,7 @@ fn bench_fleet_json(_c: &mut Criterion) {
     }
     .generate();
     let linear_scan = (1..=capacity.max_replicas)
-        .find(|&n| {
-            rago.evaluate_fleet(
-                &best.schedule,
-                &FleetConfig::new(n, capacity.router),
-                &scan_trace,
-                &slo,
-            )
-            .expect("fleet evaluation succeeds")
-            .meets_slo
-        })
+        .find(|&n| run(FleetConfig::new(n, capacity.router), &scan_trace).meets_slo)
         .expect("some count within the bound meets the SLO");
     assert_eq!(
         plan.replicas, linear_scan,

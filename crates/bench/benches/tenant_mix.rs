@@ -24,21 +24,21 @@
 //! cycle, same JSON shape). The bench refuses to write non-finite numbers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rago_core::timevarying::TimeVaryingEvaluation;
-use rago_core::{CapacityOptions, Rago, SearchOptions};
+use rago_core::{CapacityOptions, FleetEvaluation, Rago, Scenario, SearchOptions};
 use rago_schema::presets::{self, LlmSize};
 use rago_schema::{FleetConfig, RouterPolicy, SequenceProfile, SloTarget};
 use rago_serving_sim::autoscaler::AutoscalerPolicy;
+use rago_serving_sim::faults::ScaleDriver;
 use rago_workloads::{ArrivalProcess, MixTraceSpec, RequestClass, WorkloadMix};
 
-fn class_rows(eval: &TimeVaryingEvaluation) -> String {
+fn class_rows(eval: &FleetEvaluation) -> String {
     eval.per_class
         .iter()
         .map(|c| {
             format!(
                 "      {{\"class\": {}, \"name\": \"{}\", \"requests\": {}, \
                  \"attainment\": {:.4}, \"goodput_rps\": {:.3}, \"meets_slo\": {}}}",
-                c.class, c.name, c.requests, c.attainment, c.goodput_rps, c.meets_slo
+                c.class, c.name, c.offered, c.attainment, c.goodput_rps, c.meets_slo
             )
         })
         .collect::<Vec<_>>()
@@ -115,9 +115,13 @@ fn bench_tenant_json(_c: &mut Criterion) {
     let static_replicas = peak_plan.replicas;
     let fleet = FleetConfig::new(static_replicas, RouterPolicy::LeastOutstanding);
 
-    let fixed = rago
-        .evaluate_fleet_timevarying(&best.schedule, &fleet, &mix, &trace, None)
-        .expect("static evaluation succeeds");
+    let scenario = Scenario::new(best.schedule.clone(), fleet, &trace, mix.clone());
+    let run = |scenario: &Scenario<'_>| {
+        rago.evaluate_scenario(scenario)
+            .expect("the scenario evaluates")
+            .into_fleet()
+    };
+    let fixed = run(&scenario);
 
     // The reactive policy: start at one replica and follow the cycle,
     // capped at the static plan's size (capacity beyond the peak plan buys
@@ -131,9 +135,7 @@ fn bench_tenant_json(_c: &mut Criterion) {
         .with_scale_in_outstanding(10.0)
         .with_cooldown(1.0)
         .with_warmup(0.5);
-    let elastic = rago
-        .evaluate_fleet_timevarying(&best.schedule, &fleet, &mix, &trace, Some(&policy))
-        .expect("autoscaled evaluation succeeds");
+    let elastic = run(&scenario.with_driver(ScaleDriver::Reactive(policy)));
     let scaling = elastic
         .scaling
         .as_ref()

@@ -12,9 +12,9 @@
 //! capacity-planning entry points, so the optimizer's chips-per-goodput
 //! answer *changes* when caching is on:
 //!
-//! * [`evaluate_schedule_cached`] / [`evaluate_fleet_cached`] — the cached
-//!   twins of [`crate::dynamic::evaluate_schedule_dynamic`] and
-//!   [`crate::dynamic::evaluate_fleet_dynamic`];
+//! * [`evaluate_schedule_cached`] — the cached twin of
+//!   [`crate::dynamic::evaluate_schedule_dynamic`]; fleets take the same
+//!   config through [`crate::scenario::Scenario::with_cache`];
 //! * [`rank_frontier_by_goodput_cached`] — cache-aware frontier re-ranking:
 //!   schedules with large pre-decode batches amortize differently once the
 //!   prefix stage's work becomes hit-rate-dependent;
@@ -34,17 +34,16 @@ use crate::capacity::{
     CapacityPlan,
 };
 use crate::dynamic::{
-    check_mode_slo, pipeline_spec_cached, rank_frontier_with, reject_empty_trace, score_fleet,
-    score_single, DynamicEvaluation, FleetEvaluation,
+    check_mode_slo, pipeline_spec_cached, rank_frontier_with, reject_empty_trace, score_single,
+    DynamicEvaluation,
 };
 use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
 pub use rago_cache::CacheConfig;
-use rago_schema::{FleetConfig, SloTarget};
+use rago_schema::SloTarget;
 use rago_serving_sim::engine::ServingEngine;
-use rago_serving_sim::faults::{ChaosEngine, ScaleDriver};
 use rago_serving_sim::MetricsMode;
 use rago_workloads::{ContentSpec, Trace};
 use serde::{Deserialize, Serialize};
@@ -94,96 +93,6 @@ pub fn evaluate_schedule_cached_with(
     let spec = pipeline_spec_cached(profiler, schedule, Some(cache))?;
     Ok(score_single(
         ServingEngine::from_trace(spec, trace).run_with_mode(mode),
-        slo,
-    ))
-}
-
-/// Drives `trace` through a fleet of `fleet.replicas` replicas of
-/// `schedule`'s pipeline, each with its *own cold* caches from `cache`, and
-/// scores the merged result — the cached twin of
-/// [`crate::dynamic::evaluate_fleet_dynamic`]. Pair it with the
-/// content-aware routers ([`rago_schema::RouterPolicy::CacheAffinity`] /
-/// [`rago_schema::RouterPolicy::PrefixHash`]) to keep each template's KV
-/// state on one replica instead of duplicating it everywhere.
-///
-/// # Errors
-///
-/// As [`evaluate_schedule_cached`], plus invalid fleet configurations.
-pub fn evaluate_fleet_cached(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &FleetConfig,
-    trace: &Trace,
-    slo: &SloTarget,
-    cache: &CacheConfig,
-) -> Result<FleetEvaluation, RagoError> {
-    evaluate_fleet_cached_with(
-        profiler,
-        schedule,
-        fleet,
-        trace,
-        slo,
-        cache,
-        &MetricsMode::Exact,
-    )
-}
-
-/// [`evaluate_fleet_cached`] with an explicit metrics mode (see
-/// [`crate::dynamic::evaluate_schedule_dynamic_with`] for the mode
-/// semantics).
-///
-/// Disaggregated `[Prefill, Decode]` pool fleets dispatch to
-/// [`crate::disagg::evaluate_fleet_disagg_cached`] — the caches live on the
-/// prefill pool, where the prefix and retrieval stages run — and require
-/// [`MetricsMode::Exact`]. A fleet declaring a single `[Monolithic]` pool
-/// runs the flat path with the pool's router.
-///
-/// # Errors
-///
-/// As [`evaluate_fleet_cached`], plus [`RagoError::InvalidConfig`] when a
-/// streaming mode's configured SLO differs from `slo`, or when a streaming
-/// mode is combined with a disaggregated pool fleet.
-pub fn evaluate_fleet_cached_with(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &FleetConfig,
-    trace: &Trace,
-    slo: &SloTarget,
-    cache: &CacheConfig,
-    mode: &MetricsMode,
-) -> Result<FleetEvaluation, RagoError> {
-    schedule.validate()?;
-    fleet.validate().map_err(|e| RagoError::InvalidConfig {
-        reason: e.to_string(),
-    })?;
-    reject_empty_trace(trace)?;
-    check_mode_slo(mode, slo)?;
-    if fleet.is_disaggregated() {
-        if !matches!(mode, MetricsMode::Exact) {
-            return Err(RagoError::InvalidConfig {
-                reason: "streaming metrics are not supported for disaggregated pool fleets; \
-                         score the exact merged report instead"
-                    .into(),
-            });
-        }
-        let report = crate::disagg::run_disagg(profiler, schedule, fleet, trace, Some(cache), &[])?;
-        let eval = crate::disagg::score_disagg(report, schedule, slo);
-        return Ok(crate::disagg::to_fleet_evaluation(&eval));
-    }
-    let router = match fleet.pools.as_slice() {
-        [only] => only.router,
-        _ => fleet.router,
-    };
-    let spec = pipeline_spec_cached(profiler, schedule, Some(cache))?;
-    let engine = ChaosEngine::new(
-        spec,
-        router,
-        ScaleDriver::Static {
-            replicas: fleet.replicas,
-        },
-    );
-    Ok(score_fleet(
-        engine.run_trace_with_mode(trace, mode).fleet,
         slo,
     ))
 }
@@ -272,13 +181,14 @@ pub fn plan_capacity_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamic::{evaluate_fleet_dynamic, evaluate_schedule_dynamic};
+    use crate::dynamic::evaluate_schedule_dynamic;
     use crate::placement::PlacementPlan;
+    use crate::scenario::{evaluate_scenario, FleetEvaluation, Scenario};
     use crate::schedule::{BatchingPolicy, ResourceAllocation};
     use rago_cache::{EvictionPolicy, PrefixKvCacheConfig, RetrievalCacheConfig};
     use rago_hardware::ClusterSpec;
     use rago_schema::presets::{self, LlmSize};
-    use rago_schema::{RouterPolicy, SequenceProfile, Stage};
+    use rago_schema::{FleetConfig, RouterPolicy, SequenceProfile, Stage};
     use rago_workloads::{ArrivalProcess, PopularityModel, TraceSpec};
 
     fn case1_profiler() -> StageProfiler {
@@ -323,6 +233,20 @@ mod tests {
             docs: PopularityModel::zipf(32, 1.0),
             seed: 91,
         }
+    }
+
+    /// A static fleet scenario, with per-replica caches when `cache` is set.
+    fn fleet_eval(
+        profiler: &StageProfiler,
+        schedule: &Schedule,
+        fleet: &FleetConfig,
+        trace: &Trace,
+        slo: &SloTarget,
+        cache: Option<CacheConfig>,
+    ) -> FleetEvaluation {
+        let mut scenario = Scenario::new(schedule.clone(), fleet.clone(), trace, *slo);
+        scenario.cache = cache;
+        evaluate_scenario(profiler, &scenario).unwrap().into_fleet()
     }
 
     fn poisson_trace(n: usize, rate: f64, seed: u64) -> Trace {
@@ -375,11 +299,15 @@ mod tests {
             evaluate_schedule_cached(&profiler, &schedule, &trace, &slo, &hot_cache()).unwrap();
         assert_eq!(cached.report, plain.report);
         let fleet = FleetConfig::new(3, RouterPolicy::LeastOutstanding);
-        let plain_fleet =
-            evaluate_fleet_dynamic(&profiler, &schedule, &fleet, &trace, &slo).unwrap();
-        let cached_fleet =
-            evaluate_fleet_cached(&profiler, &schedule, &fleet, &trace, &slo, &hot_cache())
-                .unwrap();
+        let plain_fleet = fleet_eval(&profiler, &schedule, &fleet, &trace, &slo, None);
+        let cached_fleet = fleet_eval(
+            &profiler,
+            &schedule,
+            &fleet,
+            &trace,
+            &slo,
+            Some(hot_cache()),
+        );
         assert_eq!(cached_fleet.report, plain_fleet.report);
     }
 
@@ -504,7 +432,7 @@ mod tests {
     }
 
     /// The cached planner's streaming probes reproduce an exact-mode
-    /// [`evaluate_fleet_cached`] run of the chosen fleet bit for bit —
+    /// cached-fleet [`Scenario`] run of the chosen fleet bit for bit —
     /// scores and cache counters alike — across rates, seeds and routers,
     /// and one replica fewer misses the SLO in exact mode.
     #[test]
@@ -538,15 +466,14 @@ mod tests {
             .unwrap();
             let trace = content().tag(&sizing_trace(rate, &options));
             let exact = |replicas: u32| {
-                evaluate_fleet_cached(
+                fleet_eval(
                     &profiler,
                     &schedule,
                     &FleetConfig::new(replicas, router),
                     &trace,
                     &slo,
-                    &hot_cache(),
+                    Some(hot_cache()),
                 )
-                .unwrap()
             };
             let plan = cached.plan;
             let at = exact(plan.replicas);

@@ -145,7 +145,7 @@ pub fn plan_capacity(
 /// Each candidate fleet runs on the streaming metrics path with `slo`
 /// counted online, and the search keeps only a scalar probe record per
 /// count. The returned attainment, goodput and drain tail are bit-identical
-/// to an exact-mode [`crate::dynamic::evaluate_fleet_dynamic`] run of the
+/// to an exact-mode [`crate::scenario::evaluate_scenario`] run of the
 /// chosen fleet on the same trace.
 ///
 /// # Errors
@@ -178,7 +178,8 @@ pub fn plan_capacity_with(
 /// replicas of even the smallest paper schedule already exceed any cluster
 /// the cost model describes. The bound also makes every internal
 /// `u32 → usize` replica-count conversion provably lossless, on any
-/// platform width.
+/// platform width. [`crate::scenario::Scenario::validate`] applies the same
+/// bound to every replica count a scenario declares.
 pub const MAX_PLANNER_REPLICAS: u32 = 4096;
 
 /// Checked `u32 → usize` conversion for replica counts. Counts reaching
@@ -746,6 +747,20 @@ mod tests {
         }
     }
 
+    /// An exact-mode static fleet scenario scored against `slo`.
+    fn exact_fleet(
+        profiler: &StageProfiler,
+        schedule: &Schedule,
+        fleet: rago_schema::FleetConfig,
+        trace: &rago_workloads::Trace,
+        slo: &SloTarget,
+    ) -> crate::scenario::FleetEvaluation {
+        let scenario = crate::scenario::Scenario::new(schedule.clone(), fleet, trace, *slo);
+        crate::scenario::evaluate_scenario(profiler, &scenario)
+            .unwrap()
+            .into_fleet()
+    }
+
     #[test]
     fn plan_matches_an_exhaustive_linear_scan() {
         let profiler = case1_profiler();
@@ -753,21 +768,21 @@ mod tests {
         let slo = SloTarget::new(1.0, 0.1);
         let options = quick_options();
         // A rate one replica cannot hold but a small fleet can.
-        let single = crate::dynamic::evaluate_fleet_dynamic(
+        let single_trace = TraceSpec {
+            num_requests: options.num_requests,
+            profile: options.profile,
+            arrival: ArrivalProcess::Poisson { rate_rps: 40.0 },
+            length_jitter: options.length_jitter,
+            seed: options.seed,
+        }
+        .generate();
+        let single = exact_fleet(
             &profiler,
             &schedule,
-            &rago_schema::FleetConfig::new(1, options.router),
-            &TraceSpec {
-                num_requests: options.num_requests,
-                profile: options.profile,
-                arrival: ArrivalProcess::Poisson { rate_rps: 40.0 },
-                length_jitter: options.length_jitter,
-                seed: options.seed,
-            }
-            .generate(),
+            rago_schema::FleetConfig::new(1, options.router),
+            &single_trace,
             &slo,
-        )
-        .unwrap();
+        );
         let target_qps = 40.0;
         let plan = plan_capacity_with(&profiler, &schedule, &slo, target_qps, &options).unwrap();
         // Exhaustive scan over the same candidate counts.
@@ -1047,7 +1062,7 @@ mod tests {
 
     /// The streaming probes decide exactly as exact-mode runs would: across
     /// rates, seeds and routers, re-running the chosen count exact with
-    /// [`crate::dynamic::evaluate_fleet_dynamic`] reproduces the plan's
+    /// an exact-mode [`crate::scenario::Scenario`] reproduces the plan's
     /// scores bit for bit, and one replica fewer misses the SLO.
     #[test]
     fn flat_plan_matches_exact_mode() {
@@ -1072,14 +1087,8 @@ mod tests {
             let plan = plan_capacity_with(&profiler, &schedule, &slo, rate, &options).unwrap();
             let trace = sizing_trace(rate, &options);
             let exact = |replicas: u32| {
-                crate::dynamic::evaluate_fleet_dynamic(
-                    &profiler,
-                    &schedule,
-                    &rago_schema::FleetConfig::new(replicas, router),
-                    &trace,
-                    &slo,
-                )
-                .unwrap()
+                let fleet = rago_schema::FleetConfig::new(replicas, router);
+                exact_fleet(&profiler, &schedule, fleet, &trace, &slo)
             };
             let at = exact(plan.replicas);
             let case = format!("{rate} rps, seed {seed}, {router:?}");
@@ -1105,7 +1114,7 @@ mod tests {
 
     /// The pool planner scores each split once and keeps only the score:
     /// the chosen split re-run through
-    /// [`crate::disagg::evaluate_fleet_disagg`] reproduces the plan bit for
+    /// an exact-mode [`crate::scenario::Scenario`] reproduces the plan bit for
     /// bit, and one replica fewer in either pool misses the SLO.
     #[test]
     fn pool_plan_matches_exact_mode() {
@@ -1130,14 +1139,11 @@ mod tests {
                 plan_capacity_pools(&profiler, &schedule, &slo, rate, &transfer, &options).unwrap();
             let trace = sizing_trace(rate, &options);
             let exact = |p: u32, d: u32| {
-                crate::disagg::evaluate_fleet_disagg(
-                    &profiler,
-                    &schedule,
-                    &rago_schema::FleetConfig::split(p, d, router).with_transfer(transfer),
-                    &trace,
-                    &slo,
-                )
-                .unwrap()
+                let fleet = rago_schema::FleetConfig::split(p, d, router).with_transfer(transfer);
+                let scenario = crate::scenario::Scenario::new(schedule.clone(), fleet, &trace, slo);
+                crate::scenario::evaluate_scenario(&profiler, &scenario)
+                    .and_then(crate::scenario::Evaluation::into_disagg)
+                    .unwrap()
             };
             let (p, d) = (plan.prefill_replicas, plan.decode_replicas);
             let at = exact(p, d);

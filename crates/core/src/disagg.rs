@@ -1,7 +1,7 @@
 //! Disaggregated prefill/decode fleet evaluation and the joint
 //! (prefill pool, decode pool, interconnect) search.
 //!
-//! The flat evaluators in [`crate::dynamic`] lock prefill and decode
+//! A collocated fleet locks prefill and decode
 //! capacity 1:1 — every replica carries the pre-decode accelerator groups
 //! *and* the decode XPUs, so a prefill-bound workload pays for idle decode
 //! chips and vice versa. Splitwise and DistServe break that coupling: a
@@ -9,12 +9,10 @@
 //! each request's KV state crosses an interconnect between the phases. This
 //! module closes the optimizer loop over that placement dimension:
 //!
-//! * [`evaluate_fleet_disagg`] / [`evaluate_fleet_disagg_cached`] — drive a
-//!   trace through a disaggregated [`FleetConfig`] (a `[Prefill, Decode]`
-//!   pool pair plus its [`KvTransferModel`]) via
-//!   [`rago_serving_sim::pools::DisaggEngine`], and score the stitched
-//!   result per chip. The flat evaluators dispatch pool fleets here, so
-//!   `evaluate_fleet_dynamic` *accepts* pool configs unchanged.
+//! * [`DisaggEvaluation`] — what [`crate::scenario::evaluate_scenario`]
+//!   returns for a disaggregated [`FleetConfig`] (a `[Prefill, Decode]` pool
+//!   pair plus its [`KvTransferModel`]): the stitched
+//!   [`rago_serving_sim::pools::DisaggEngine`] report scored per chip.
 //! * [`transfer_model_from_interconnect`] — prices the handoff from first
 //!   principles: the generative model's KV bytes per token over an
 //!   [`InterconnectSpec`]'s link bandwidth plus its per-message overhead.
@@ -30,14 +28,15 @@
 //! replica only its decode XPUs ([`decode_xpus`]) — that asymmetry is the
 //! entire economic case for disaggregation.
 
-use crate::dynamic::{pipeline_spec_cached, reject_empty_trace, FleetEvaluation};
+use crate::dynamic::{pipeline_spec_cached, reject_empty_trace};
 use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
+use crate::scenario::{evaluate_scenario, Evaluation, Scenario};
 use crate::schedule::Schedule;
 use rago_cache::CacheConfig;
 use rago_hardware::InterconnectSpec;
-use rago_schema::{FleetConfig, KvTransferModel, PoolRole, RagSchema, SloTarget};
+use rago_schema::{FleetConfig, KvTransferModel, RagSchema, RouterPolicy, SloTarget, Stage};
 use rago_serving_sim::engine::PipelineSpec;
 use rago_serving_sim::pools::{DisaggEngine, DisaggReport, PoolCrash};
 use rago_workloads::Trace;
@@ -139,82 +138,11 @@ pub(crate) fn split_pipeline_spec(
     Ok((prefill_spec, decode_spec))
 }
 
-/// Validates that `fleet` is a disaggregated `[Prefill, Decode]` pool pair
-/// and that every crash targets a real replica of one of its pools.
-fn check_disagg_fleet(fleet: &FleetConfig, crashes: &[PoolCrash]) -> Result<(), RagoError> {
-    fleet.validate().map_err(|e| RagoError::InvalidConfig {
-        reason: e.to_string(),
-    })?;
-    let Some((prefill, decode)) = fleet.prefill_decode() else {
-        return Err(RagoError::InvalidConfig {
-            reason: "disaggregated evaluation needs a [Prefill, Decode] pool pair; \
-                     flat fleets go through evaluate_fleet_dynamic"
-                .into(),
-        });
-    };
-    for c in crashes {
-        let pool_len = match c.pool {
-            PoolRole::Prefill => prefill.replicas,
-            PoolRole::Decode => decode.replicas,
-            PoolRole::Monolithic => {
-                return Err(RagoError::InvalidConfig {
-                    reason: "pool crashes target the Prefill or Decode pool".into(),
-                })
-            }
-        };
-        if c.replica as u64 >= u64::from(pool_len) {
-            return Err(RagoError::InvalidConfig {
-                reason: format!(
-                    "crash at {:.3}s targets replica {} of a {}-replica {} pool",
-                    c.at_s, c.replica, pool_len, c.pool
-                ),
-            });
-        }
-        if !(c.at_s.is_finite() && c.at_s >= 0.0) {
-            return Err(RagoError::InvalidConfig {
-                reason: format!(
-                    "crash times must be finite and non-negative, got {}",
-                    c.at_s
-                ),
-            });
-        }
-        if let Some(d) = c.restart_delay_s {
-            if !(d.is_finite() && d >= 0.0) {
-                return Err(RagoError::InvalidConfig {
-                    reason: format!("restart delays must be finite and non-negative, got {d}"),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The shared run core: split the spec, build the engine, play the crashes,
-/// return the stitched report.
-pub(crate) fn run_disagg(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &FleetConfig,
-    trace: &Trace,
-    cache: Option<&CacheConfig>,
-    crashes: &[PoolCrash],
-) -> Result<DisaggReport, RagoError> {
-    run_disagg_recorded(
-        profiler,
-        schedule,
-        fleet,
-        trace,
-        cache,
-        crashes,
-        &rago_telemetry::TelemetryConfig::disabled(),
-        &mut rago_telemetry::NullRecorder,
-    )
-}
-
-/// [`run_disagg`] recording a trace into `rec` (bit-identical outcome for
-/// any recorder; `telemetry` only sets the derived-gauge cadence).
+/// Runs a validated scenario's split fleet: split the spec, build the
+/// engine, play the pool crashes, return the stitched report (bit-identical
+/// for any recorder; `telemetry` only sets the derived-gauge cadence).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_disagg_recorded<R: rago_telemetry::Recorder>(
+pub(crate) fn run_disagg<R: rago_telemetry::Recorder>(
     profiler: &StageProfiler,
     schedule: &Schedule,
     fleet: &FleetConfig,
@@ -224,12 +152,9 @@ pub(crate) fn run_disagg_recorded<R: rago_telemetry::Recorder>(
     telemetry: &rago_telemetry::TelemetryConfig,
     rec: &mut R,
 ) -> Result<DisaggReport, RagoError> {
-    schedule.validate()?;
-    check_disagg_fleet(fleet, crashes)?;
-    reject_empty_trace(trace)?;
     let (prefill_spec, decode_spec) = split_pipeline_spec(profiler, schedule, cache)?;
     let mut engine = DisaggEngine::from_fleet(prefill_spec, decode_spec, fleet, fleet.transfer)
-        .expect("check_disagg_fleet verified the pool pair")
+        .expect("the scenario was validated as a pool pair")
         .with_telemetry(telemetry.clone());
     if !crashes.is_empty() {
         engine = engine.with_faults(crashes.to_vec());
@@ -273,64 +198,6 @@ pub(crate) fn score_disagg(
     }
 }
 
-/// Drives `trace` through the disaggregated `fleet` — its Prefill pool runs
-/// `schedule`'s pre-decode stages, its Decode pool the continuous-batching
-/// decode, with every handoff priced by `fleet.transfer` — and scores the
-/// stitched result against `slo`.
-///
-/// # Errors
-///
-/// Returns [`RagoError::InvalidConfig`] for invalid schedules, fleets that
-/// are not a `[Prefill, Decode]` pool pair, schedules without a pre-decode
-/// stage, or an empty trace, and [`RagoError::CostModel`] when the schedule
-/// cannot be profiled.
-pub fn evaluate_fleet_disagg(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &FleetConfig,
-    trace: &Trace,
-    slo: &SloTarget,
-) -> Result<DisaggEvaluation, RagoError> {
-    let report = run_disagg(profiler, schedule, fleet, trace, None, &[])?;
-    Ok(score_disagg(report, schedule, slo))
-}
-
-/// [`evaluate_fleet_disagg`] with per-replica caches from `cache` on the
-/// *prefill* pool (prefix-KV and retrieval-result reuse are pre-decode
-/// phenomena; the decode pool receives already-prefilled state). Content-
-/// aware pool routers steer requests toward the prefill replica owning
-/// their template, exactly as in [`crate::cached::evaluate_fleet_cached`].
-///
-/// # Errors
-///
-/// As [`evaluate_fleet_disagg`], plus the cached pipeline's configuration
-/// errors (e.g. a prefix cache on a schema without a prefix stage).
-pub fn evaluate_fleet_disagg_cached(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &FleetConfig,
-    trace: &Trace,
-    slo: &SloTarget,
-    cache: &CacheConfig,
-) -> Result<DisaggEvaluation, RagoError> {
-    let report = run_disagg(profiler, schedule, fleet, trace, Some(cache), &[])?;
-    Ok(score_disagg(report, schedule, slo))
-}
-
-/// Converts a disaggregated evaluation into the [`FleetEvaluation`] shape
-/// the flat evaluators return (via
-/// [`DisaggReport::to_fleet_report`]). Used by the dispatch in
-/// [`crate::dynamic::evaluate_fleet_dynamic_with`] so callers holding a
-/// [`FleetConfig`] get one result type regardless of pool shape.
-pub(crate) fn to_fleet_evaluation(eval: &DisaggEvaluation) -> FleetEvaluation {
-    FleetEvaluation {
-        report: eval.report.to_fleet_report(),
-        attainment: eval.attainment,
-        goodput_rps: eval.goodput_rps,
-        meets_slo: eval.meets_slo,
-    }
-}
-
 /// One candidate of the joint disaggregation search: a pool split priced
 /// over one interconnect.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -348,13 +215,11 @@ pub struct DisaggChoice {
 
 /// The joint (schedule, prefill pool, decode pool, interconnect) search:
 /// evaluates every Pareto point under every `(prefill, decode)` split and
-/// every candidate interconnect, and ranks the survivors by **goodput per
-/// chip**, best first — the disaggregated extension of
-/// [`crate::dynamic::rank_frontier_by_goodput`]. Candidates whose
-/// evaluation fails (e.g. a stage-free schedule) are omitted. Ties break
-/// toward fewer total XPUs, then lower static TTFT, then the schedule
-/// description and choice fields, so the ranking is deterministic across
-/// rayon workers.
+/// every candidate interconnect, and ranks them by **goodput per chip**,
+/// best first — the disaggregated extension of
+/// [`crate::dynamic::rank_frontier_by_goodput`]. Ties break toward fewer
+/// total XPUs, then lower static TTFT, then the schedule description and
+/// choice fields, so the ranking is deterministic across rayon workers.
 ///
 /// Compare the winner's `goodput_per_chip` against
 /// [`crate::dynamic::rank_frontier_by_goodput`]'s best at
@@ -362,10 +227,15 @@ pub struct DisaggChoice {
 /// at all — at tight TTFT+TPOT SLOs the split wins (the DistServe result),
 /// at loose SLOs collocation does.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on a zero-request trace, an empty split list, or an empty
-/// interconnect list — each would silently rank nothing.
+/// Returns [`RagoError::InvalidConfig`] for a zero-request trace, an empty
+/// split or interconnect list, or a split that is not a valid fleet (such
+/// as `(0, 1)`) — checked once, before any simulation, because each would
+/// fail every candidate and an empty ranking would read as "nothing wins".
+/// Schedules of a schema without a pre-decode stage cannot be split and are
+/// omitted; any other per-candidate error is propagated, the first in
+/// frontier order.
 pub fn rank_frontier_by_goodput_disagg(
     profiler: &StageProfiler,
     frontier: &ParetoFrontier,
@@ -373,57 +243,65 @@ pub fn rank_frontier_by_goodput_disagg(
     slo: &SloTarget,
     splits: &[(u32, u32)],
     interconnects: &[InterconnectSpec],
-) -> Vec<(ParetoPoint, DisaggChoice, DisaggEvaluation)> {
-    assert!(
-        !trace.requests.is_empty(),
-        "cannot rank a frontier by goodput over a zero-request trace"
-    );
-    assert!(
-        !splits.is_empty(),
-        "the joint search needs at least one (prefill, decode) split"
-    );
-    assert!(
-        !interconnects.is_empty(),
-        "the joint search needs at least one candidate interconnect"
-    );
+) -> Result<Vec<(ParetoPoint, DisaggChoice, DisaggEvaluation)>, RagoError> {
+    reject_empty_trace(trace)?;
+    if splits.is_empty() || interconnects.is_empty() {
+        return Err(RagoError::InvalidConfig {
+            reason: "the joint search needs at least one (prefill, decode) split and one \
+                     candidate interconnect"
+                .into(),
+        });
+    }
     let schema = profiler.schema();
-    let candidates: Vec<(&ParetoPoint, DisaggChoice)> = frontier
-        .iter()
-        .flat_map(|point| {
-            splits.iter().flat_map(move |&(p, d)| {
-                interconnects.iter().map(move |ic| {
-                    (
-                        point,
-                        DisaggChoice {
-                            prefill_replicas: p,
-                            decode_replicas: d,
-                            interconnect: ic.name.clone(),
-                            transfer: transfer_model_from_interconnect(schema, ic),
-                        },
-                    )
-                })
-            })
-        })
-        .collect();
-    let mut ranked: Vec<(ParetoPoint, DisaggChoice, DisaggEvaluation)> = candidates
+    let mut choices = Vec::with_capacity(splits.len() * interconnects.len());
+    for &(p, d) in splits {
+        for ic in interconnects {
+            let transfer = transfer_model_from_interconnect(schema, ic);
+            let fleet = FleetConfig::split(p, d, RouterPolicy::default()).with_transfer(transfer);
+            fleet.validate().map_err(|e| RagoError::InvalidConfig {
+                reason: format!("split ({p}, {d}) over {}: {e}", ic.name),
+            })?;
+            let choice = DisaggChoice {
+                prefill_replicas: p,
+                decode_replicas: d,
+                interconnect: ic.name.clone(),
+                transfer,
+            };
+            choices.push((choice, fleet));
+        }
+    }
+    if !schema
+        .pipeline()
         .into_iter()
+        .any(|stage| stage != Stage::Decode)
+    {
+        return Ok(Vec::new());
+    }
+    let mut evaluated: Vec<(usize, Result<DisaggEvaluation, RagoError>)> = frontier
+        .iter()
+        .flat_map(|point| choices.iter().map(move |(_, fleet)| (point, fleet)))
+        .enumerate()
         .par_bridge()
-        .fold(Vec::new, |mut acc, (point, choice)| {
-            let fleet = FleetConfig::split(
-                choice.prefill_replicas,
-                choice.decode_replicas,
-                rago_schema::RouterPolicy::default(),
-            )
-            .with_transfer(choice.transfer);
-            if let Ok(eval) = evaluate_fleet_disagg(profiler, &point.schedule, &fleet, trace, slo) {
-                acc.push((point.clone(), choice, eval));
-            }
+        .fold(Vec::new, |mut acc, (index, (point, fleet))| {
+            let scenario = Scenario::new(point.schedule.clone(), fleet.clone(), trace, *slo);
+            acc.push((
+                index,
+                evaluate_scenario(profiler, &scenario).and_then(Evaluation::into_disagg),
+            ));
             acc
         })
         .reduce(Vec::new, |mut a, mut b| {
             a.append(&mut b);
             a
         });
+    evaluated.sort_by_key(|(index, _)| *index);
+    let candidates = frontier
+        .iter()
+        .flat_map(|point| choices.iter().map(move |(choice, _)| (point, choice)));
+    let mut ranked = Vec::with_capacity(evaluated.len());
+    for ((_, eval), (point, choice)) in evaluated.into_iter().zip(candidates) {
+        ranked.push((point.clone(), choice.clone(), eval?));
+    }
     ranked.sort_by(|a, b| {
         b.2.goodput_per_chip
             .total_cmp(&a.2.goodput_per_chip)
@@ -434,19 +312,28 @@ pub fn rank_frontier_by_goodput_disagg(
             .then(a.1.decode_replicas.cmp(&b.1.decode_replicas))
             .then_with(|| a.1.interconnect.cmp(&b.1.interconnect))
     });
-    ranked
+    Ok(ranked)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamic::{evaluate_fleet_dynamic, evaluate_fleet_dynamic_with};
     use crate::placement::PlacementPlan;
     use crate::schedule::{BatchingPolicy, ResourceAllocation};
     use rago_hardware::ClusterSpec;
     use rago_schema::presets::{self, LlmSize};
-    use rago_schema::{RouterPolicy, SequenceProfile, Stage};
+    use rago_schema::{PoolRole, SequenceProfile};
     use rago_workloads::{ArrivalProcess, TraceSpec};
+
+    fn evaluate(
+        profiler: &StageProfiler,
+        fleet: &FleetConfig,
+        trace: &Trace,
+        slo: &SloTarget,
+    ) -> Result<Evaluation, RagoError> {
+        let scenario = Scenario::new(case1_schedule(), fleet.clone(), trace, *slo);
+        evaluate_scenario(profiler, &scenario)
+    }
 
     fn case1_profiler() -> StageProfiler {
         StageProfiler::new(
@@ -489,7 +376,9 @@ mod tests {
         let ic = InterconnectSpec::torus_3d();
         let fleet = FleetConfig::split(1, 1, RouterPolicy::LeastOutstanding)
             .with_transfer(transfer_model_from_interconnect(profiler.schema(), &ic));
-        let eval = evaluate_fleet_disagg(&profiler, &schedule, &fleet, &trace, &slo).unwrap();
+        let eval = evaluate(&profiler, &fleet, &trace, &slo)
+            .and_then(Evaluation::into_disagg)
+            .unwrap();
         assert_eq!(eval.report.merged.metrics.completed, 80);
         assert_eq!(eval.report.transfers.transfers, 80);
         assert!(eval.report.transfers.bytes_total > 0.0);
@@ -505,20 +394,17 @@ mod tests {
     #[test]
     fn zero_cost_split_matches_flat_fleet_scores() {
         let profiler = case1_profiler();
-        let schedule = case1_schedule();
         let trace = poisson_trace(100, 30.0, 11);
         let slo = SloTarget::new(1.0, 0.1);
-        let flat = evaluate_fleet_dynamic(
-            &profiler,
-            &schedule,
-            &FleetConfig::new(1, RouterPolicy::LeastOutstanding),
-            &trace,
-            &slo,
-        )
-        .unwrap();
+        let flat = FleetConfig::new(1, RouterPolicy::LeastOutstanding);
+        let flat = evaluate(&profiler, &flat, &trace, &slo)
+            .unwrap()
+            .into_fleet();
         let split = FleetConfig::split(1, 1, RouterPolicy::LeastOutstanding);
         assert!(split.transfer.is_zero_cost());
-        let disagg = evaluate_fleet_disagg(&profiler, &schedule, &split, &trace, &slo).unwrap();
+        let disagg = evaluate(&profiler, &split, &trace, &slo)
+            .and_then(Evaluation::into_disagg)
+            .unwrap();
         assert_eq!(disagg.attainment, flat.attainment);
         assert!((disagg.goodput_rps - flat.goodput_rps).abs() < 1e-9);
         assert_eq!(disagg.meets_slo, flat.meets_slo);
@@ -530,18 +416,19 @@ mod tests {
     #[test]
     fn fleet_dynamic_accepts_pool_configs() {
         let profiler = case1_profiler();
-        let schedule = case1_schedule();
         let trace = poisson_trace(60, 40.0, 3);
         let slo = SloTarget::new(1.0, 0.1);
         let fleet = FleetConfig::split(1, 2, RouterPolicy::LeastOutstanding)
             .with_transfer(KvTransferModel::new(131_072.0, 25e9, 20e-6));
-        let eval = evaluate_fleet_dynamic(&profiler, &schedule, &fleet, &trace, &slo).unwrap();
+        let direct = evaluate(&profiler, &fleet, &trace, &slo)
+            .and_then(Evaluation::into_disagg)
+            .unwrap();
+        let eval = Evaluation::Disaggregated(direct.clone()).into_fleet();
         assert_eq!(eval.report.merged.metrics.completed, 60);
         // Replicas renumbered prefill-first: 1 prefill + 2 decode.
         assert_eq!(eval.report.per_replica.len(), 3);
         // Two dispatches per request: arrival + transfer completion.
         assert_eq!(eval.report.assignments.len(), 120);
-        let direct = evaluate_fleet_disagg(&profiler, &schedule, &fleet, &trace, &slo).unwrap();
         assert_eq!(eval.report.merged, direct.report.merged);
         assert_eq!(eval.attainment, direct.attainment);
 
@@ -550,21 +437,19 @@ mod tests {
             rago_serving_sim::StreamingConfig::new(rago_schema::HistogramSpec::default())
                 .with_slo(slo),
         );
-        let err =
-            evaluate_fleet_dynamic_with(&profiler, &schedule, &fleet, &trace, &slo, &streaming)
-                .unwrap_err();
+        let scenario = Scenario::new(case1_schedule(), fleet, &trace, slo).with_mode(streaming);
+        let err = evaluate_scenario(&profiler, &scenario).unwrap_err();
         assert!(matches!(err, RagoError::InvalidConfig { .. }));
     }
 
     #[test]
     fn non_pool_fleets_are_rejected_by_the_direct_entry_point() {
         let profiler = case1_profiler();
-        let schedule = case1_schedule();
         let trace = poisson_trace(10, 10.0, 1);
         let slo = SloTarget::new(1.0, 0.1);
         let flat = FleetConfig::new(2, RouterPolicy::RoundRobin);
         assert!(matches!(
-            evaluate_fleet_disagg(&profiler, &schedule, &flat, &trace, &slo),
+            evaluate(&profiler, &flat, &trace, &slo).and_then(Evaluation::into_disagg),
             Err(RagoError::InvalidConfig { .. })
         ));
         // Invalid crash targets surface as errors, not panics.
@@ -575,8 +460,10 @@ mod tests {
             at_s: 0.1,
             restart_delay_s: None,
         };
+        let scenario =
+            Scenario::new(case1_schedule(), fleet, &trace, slo).with_pool_crashes(vec![bad_crash]);
         assert!(matches!(
-            run_disagg(&profiler, &schedule, &fleet, &trace, None, &[bad_crash]),
+            evaluate_scenario(&profiler, &scenario),
             Err(RagoError::InvalidConfig { .. })
         ));
     }
@@ -607,14 +494,10 @@ mod tests {
         // Best collocated goodput per chip across 1..=3 flat replicas.
         let mut best_flat = 0.0f64;
         for n in 1..=3u32 {
-            let eval = evaluate_fleet_dynamic(
-                &profiler,
-                &schedule,
-                &FleetConfig::new(n, RouterPolicy::LeastOutstanding),
-                &trace,
-                &tight,
-            )
-            .unwrap();
+            let fleet = FleetConfig::new(n, RouterPolicy::LeastOutstanding);
+            let eval = evaluate(&profiler, &fleet, &trace, &tight)
+                .unwrap()
+                .into_fleet();
             let chips = schedule.allocation.total_xpus() * n;
             best_flat = best_flat.max(eval.goodput_rps / f64::from(chips));
         }
@@ -633,7 +516,8 @@ mod tests {
             evaluated_schedules: 1,
         };
         let ranked =
-            rank_frontier_by_goodput_disagg(&profiler, &frontier, &trace, &tight, &splits, &ics);
+            rank_frontier_by_goodput_disagg(&profiler, &frontier, &trace, &tight, &splits, &ics)
+                .unwrap();
         assert_eq!(ranked.len(), splits.len() * ics.len());
         for pair in ranked.windows(2) {
             assert!(pair[0].2.goodput_per_chip >= pair[1].2.goodput_per_chip);
@@ -649,5 +533,32 @@ mod tests {
             best.goodput_per_chip,
             best_flat
         );
+    }
+
+    /// Inputs that would fail every candidate are an error, not an empty
+    /// ranking: an invalid `(0, 1)` split, a zero-request trace and an
+    /// empty interconnect list each return `Err` before any simulation.
+    #[test]
+    fn disagg_ranking_rejects_invalid_inputs() {
+        let profiler = case1_profiler();
+        let schedule = case1_schedule();
+        let frontier = ParetoFrontier {
+            points: vec![ParetoPoint {
+                performance: schedule.evaluate(&profiler).unwrap(),
+                schedule,
+            }],
+            evaluated_schedules: 1,
+        };
+        let trace = poisson_trace(10, 10.0, 1);
+        let slo = SloTarget::new(1.0, 0.1);
+        let ics = [InterconnectSpec::torus_3d()];
+        let empty = Trace { requests: vec![] };
+        for result in [
+            rank_frontier_by_goodput_disagg(&profiler, &frontier, &trace, &slo, &[(0, 1)], &ics),
+            rank_frontier_by_goodput_disagg(&profiler, &frontier, &empty, &slo, &[(1, 1)], &ics),
+            rank_frontier_by_goodput_disagg(&profiler, &frontier, &trace, &slo, &[(1, 1)], &[]),
+        ] {
+            assert!(matches!(result, Err(RagoError::InvalidConfig { .. })));
+        }
     }
 }

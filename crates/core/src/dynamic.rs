@@ -12,18 +12,16 @@
 //! queueing-versus-service breakdown, SLO attainment, and goodput — which is
 //! what the optimizer needs to rank Pareto-frontier schedules against a
 //! latency SLO (the direction of the disaggregated-serving literature in
-//! `PAPERS.md`).
+//! `PAPERS.md`). Fleets of replicas run through [`crate::scenario`].
 
 use crate::error::RagoError;
 use crate::pareto::{ParetoFrontier, ParetoPoint};
 use crate::profiler::StageProfiler;
 use crate::schedule::Schedule;
-use rago_schema::{FleetConfig, RouterPolicy, SloTarget, Stage};
-use rago_serving_sim::cluster::FleetReport;
+use rago_schema::{SloTarget, Stage};
 use rago_serving_sim::engine::{
     DecodeSpec, IterativeSpec, LatencyTable, PipelineSpec, ServingEngine, ServingReport,
 };
-use rago_serving_sim::faults::{ChaosEngine, ScaleDriver};
 use rago_serving_sim::MetricsMode;
 use rago_workloads::Trace;
 use rayon::prelude::*;
@@ -106,35 +104,6 @@ pub fn evaluate_schedule_dynamic_with(
     ))
 }
 
-/// [`evaluate_schedule_dynamic_with`] recording a telemetry trace into
-/// `rec`: the engine run is bit-identical to the untraced path for any
-/// recorder (with [`rago_telemetry::NullRecorder`] the hooks compile to
-/// nothing), and the profiler's memoization counters are appended as
-/// Profile-lane counters after the run. `telemetry` only sets the derived
-/// gauge cadence — event *filtering* is the recorder's concern.
-///
-/// # Errors
-///
-/// As [`evaluate_schedule_dynamic_with`].
-pub fn evaluate_schedule_dynamic_traced<R: rago_telemetry::Recorder>(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    trace: &Trace,
-    slo: &SloTarget,
-    mode: &MetricsMode,
-    telemetry: &rago_telemetry::TelemetryConfig,
-    rec: &mut R,
-) -> Result<DynamicEvaluation, RagoError> {
-    schedule.validate()?;
-    reject_empty_trace(trace)?;
-    check_mode_slo(mode, slo)?;
-    let spec = pipeline_spec(profiler, schedule)?;
-    let engine = ServingEngine::from_trace(spec, trace).with_telemetry(telemetry.clone());
-    let eval = score_single(engine.run_traced(mode, rec), slo);
-    record_profiler_memo(profiler, rec, eval.report.metrics.makespan_s);
-    Ok(eval)
-}
-
 /// Appends the profiler's lifetime memoization counters to a trace as
 /// Profile-lane counters on the fleet track, using the same `sim.*` names
 /// as [`rago_telemetry::SimProfile`]. Compiles to nothing for a
@@ -171,7 +140,8 @@ pub fn record_profiler_memo<R: rago_telemetry::Recorder>(
 /// SLO the evaluation scores against. The histogram sink counts attainment
 /// *during* the run; querying a different SLO afterwards is unanswerable
 /// (and the report accessors would panic), so the mismatch is surfaced as a
-/// configuration error up front. Shared with [`crate::cached`].
+/// configuration error up front. Shared with [`crate::cached`] and
+/// [`crate::scenario`].
 pub(crate) fn check_mode_slo(mode: &MetricsMode, slo: &SloTarget) -> Result<(), RagoError> {
     if let MetricsMode::Streaming(config) = mode {
         if config.slo.as_ref() != Some(slo) {
@@ -229,7 +199,8 @@ pub(crate) fn score_single(report: ServingReport, slo: &SloTarget) -> DynamicEva
 }
 
 /// Rejects zero-request traces, which would otherwise score a vacuous
-/// `attainment = 1.0`. Shared with [`crate::timevarying`].
+/// `attainment = 1.0`. Shared with [`crate::scenario`] and
+/// [`crate::disagg`].
 pub(crate) fn reject_empty_trace(trace: &Trace) -> Result<(), RagoError> {
     if trace.requests.is_empty() {
         return Err(RagoError::InvalidConfig {
@@ -239,286 +210,6 @@ pub(crate) fn reject_empty_trace(trace: &Trace) -> Result<(), RagoError> {
         });
     }
     Ok(())
-}
-
-/// The outcome of one fleet-level dynamic evaluation: `replicas` copies of
-/// the schedule's pipeline behind a router, sharing one arrival stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetEvaluation {
-    /// Merged fleet report with per-replica breakdowns and imbalance stats.
-    pub report: FleetReport,
-    /// Fraction of all requests meeting the SLO's latency targets.
-    pub attainment: f64,
-    /// Requests meeting the SLO per second of fleet serving duration.
-    pub goodput_rps: f64,
-    /// Whether fleet attainment reaches the SLO's required fraction.
-    pub meets_slo: bool,
-}
-
-/// Drives `trace` through a fleet of `fleet.replicas` identical replicas of
-/// `schedule`'s pipeline behind `fleet.router`, and scores the merged
-/// result against `slo`. The fleet-level analogue of
-/// [`evaluate_schedule_dynamic`].
-///
-/// # Errors
-///
-/// Returns [`RagoError::InvalidConfig`] for invalid schedules, invalid
-/// fleet configurations, or an empty trace, and [`RagoError::CostModel`]
-/// when any profiled point is infeasible.
-pub fn evaluate_fleet_dynamic(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &FleetConfig,
-    trace: &Trace,
-    slo: &SloTarget,
-) -> Result<FleetEvaluation, RagoError> {
-    evaluate_fleet_dynamic_with(profiler, schedule, fleet, trace, slo, &MetricsMode::Exact)
-}
-
-/// [`evaluate_fleet_dynamic`] with an explicit metrics mode (see
-/// [`evaluate_schedule_dynamic_with`] for the mode semantics).
-///
-/// Disaggregated `[Prefill, Decode]` pool fleets dispatch to
-/// [`crate::disagg::evaluate_fleet_disagg`] and come back converted into the
-/// flat [`FleetEvaluation`] shape (replicas renumbered prefill-first); they
-/// require [`MetricsMode::Exact`]. A fleet declaring a single `[Monolithic]`
-/// pool runs the flat path with the pool's router.
-///
-/// # Errors
-///
-/// As [`evaluate_fleet_dynamic`], plus [`RagoError::InvalidConfig`] when a
-/// streaming mode's configured SLO differs from `slo`, or when a streaming
-/// mode is combined with a disaggregated pool fleet.
-pub fn evaluate_fleet_dynamic_with(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &FleetConfig,
-    trace: &Trace,
-    slo: &SloTarget,
-    mode: &MetricsMode,
-) -> Result<FleetEvaluation, RagoError> {
-    schedule.validate()?;
-    fleet.validate().map_err(|e| RagoError::InvalidConfig {
-        reason: e.to_string(),
-    })?;
-    reject_empty_trace(trace)?;
-    check_mode_slo(mode, slo)?;
-    if fleet.is_disaggregated() {
-        if !matches!(mode, MetricsMode::Exact) {
-            return Err(RagoError::InvalidConfig {
-                reason: "streaming metrics are not supported for disaggregated pool fleets; \
-                         score the exact merged report instead"
-                    .into(),
-            });
-        }
-        let report = crate::disagg::run_disagg(profiler, schedule, fleet, trace, None, &[])?;
-        let eval = crate::disagg::score_disagg(report, schedule, slo);
-        return Ok(crate::disagg::to_fleet_evaluation(&eval));
-    }
-    // A single declared Monolithic pool is the flat fleet spelled in pool
-    // form — honour the pool's router (`validate` pinned the totals).
-    let router = match fleet.pools.as_slice() {
-        [only] => only.router,
-        _ => fleet.router,
-    };
-    let spec = pipeline_spec(profiler, schedule)?;
-    let engine = ChaosEngine::new(
-        spec,
-        router,
-        ScaleDriver::Static {
-            replicas: fleet.replicas,
-        },
-    );
-    Ok(score_fleet(
-        engine.run_trace_with_mode(trace, mode).fleet,
-        slo,
-    ))
-}
-
-/// [`evaluate_fleet_dynamic_with`] recording a telemetry trace into `rec`
-/// (see [`evaluate_schedule_dynamic_traced`] for the tracing semantics).
-/// Disaggregated pool fleets trace through
-/// [`rago_serving_sim::pools::DisaggEngine`] with prefill replicas on
-/// tracks `0..P` and decode replicas on `P..P+D`.
-///
-/// # Errors
-///
-/// As [`evaluate_fleet_dynamic_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_fleet_dynamic_traced<R: rago_telemetry::Recorder>(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &FleetConfig,
-    trace: &Trace,
-    slo: &SloTarget,
-    mode: &MetricsMode,
-    telemetry: &rago_telemetry::TelemetryConfig,
-    rec: &mut R,
-) -> Result<FleetEvaluation, RagoError> {
-    schedule.validate()?;
-    fleet.validate().map_err(|e| RagoError::InvalidConfig {
-        reason: e.to_string(),
-    })?;
-    reject_empty_trace(trace)?;
-    check_mode_slo(mode, slo)?;
-    if fleet.is_disaggregated() {
-        if !matches!(mode, MetricsMode::Exact) {
-            return Err(RagoError::InvalidConfig {
-                reason: "streaming metrics are not supported for disaggregated pool fleets; \
-                         score the exact merged report instead"
-                    .into(),
-            });
-        }
-        let report = crate::disagg::run_disagg_recorded(
-            profiler,
-            schedule,
-            fleet,
-            trace,
-            None,
-            &[],
-            telemetry,
-            rec,
-        )?;
-        let eval = crate::disagg::score_disagg(report, schedule, slo);
-        record_profiler_memo(profiler, rec, eval.report.merged.metrics.makespan_s);
-        return Ok(crate::disagg::to_fleet_evaluation(&eval));
-    }
-    let router = match fleet.pools.as_slice() {
-        [only] => only.router,
-        _ => fleet.router,
-    };
-    let spec = pipeline_spec(profiler, schedule)?;
-    let engine = ChaosEngine::new(
-        spec,
-        router,
-        ScaleDriver::Static {
-            replicas: fleet.replicas,
-        },
-    )
-    .with_telemetry(telemetry.clone());
-    let requests = trace
-        .requests
-        .iter()
-        .map(rago_serving_sim::engine::EngineRequest::from)
-        .collect();
-    let eval = score_fleet(engine.run_traced(requests, mode, rec).fleet, slo);
-    record_profiler_memo(profiler, rec, eval.report.merged.metrics.makespan_s);
-    Ok(eval)
-}
-
-/// A heterogeneous fleet: one (possibly different) schedule per replica —
-/// e.g. serving two Pareto-frontier schedules side by side.
-///
-/// # Errors
-///
-/// Returns [`RagoError::InvalidConfig`] when `schedules` is empty, any
-/// schedule is invalid, or the trace is empty, and [`RagoError::CostModel`]
-/// when any profiled point is infeasible.
-pub fn evaluate_heterogeneous_fleet_dynamic(
-    profiler: &StageProfiler,
-    schedules: &[Schedule],
-    router: RouterPolicy,
-    trace: &Trace,
-    slo: &SloTarget,
-) -> Result<FleetEvaluation, RagoError> {
-    evaluate_heterogeneous_fleet_dynamic_with(
-        profiler,
-        schedules,
-        router,
-        trace,
-        slo,
-        &MetricsMode::Exact,
-    )
-}
-
-/// [`evaluate_heterogeneous_fleet_dynamic`] with an explicit metrics mode
-/// (see [`evaluate_schedule_dynamic_with`] for the mode semantics).
-///
-/// # Errors
-///
-/// As [`evaluate_heterogeneous_fleet_dynamic`], plus
-/// [`RagoError::InvalidConfig`] when a streaming mode's configured SLO
-/// differs from `slo`.
-pub fn evaluate_heterogeneous_fleet_dynamic_with(
-    profiler: &StageProfiler,
-    schedules: &[Schedule],
-    router: RouterPolicy,
-    trace: &Trace,
-    slo: &SloTarget,
-    mode: &MetricsMode,
-) -> Result<FleetEvaluation, RagoError> {
-    if schedules.is_empty() {
-        return Err(RagoError::InvalidConfig {
-            reason: "a heterogeneous fleet needs at least one schedule".into(),
-        });
-    }
-    reject_empty_trace(trace)?;
-    check_mode_slo(mode, slo)?;
-    let mut specs = Vec::with_capacity(schedules.len());
-    for schedule in schedules {
-        schedule.validate()?;
-        specs.push(pipeline_spec(profiler, schedule)?);
-    }
-    let engine = ChaosEngine::heterogeneous(specs, router);
-    Ok(score_fleet(
-        engine.run_trace_with_mode(trace, mode).fleet,
-        slo,
-    ))
-}
-
-/// [`evaluate_heterogeneous_fleet_dynamic_with`] recording a telemetry
-/// trace into `rec` (see [`evaluate_schedule_dynamic_traced`] for the
-/// tracing semantics).
-///
-/// # Errors
-///
-/// As [`evaluate_heterogeneous_fleet_dynamic_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_heterogeneous_fleet_dynamic_traced<R: rago_telemetry::Recorder>(
-    profiler: &StageProfiler,
-    schedules: &[Schedule],
-    router: RouterPolicy,
-    trace: &Trace,
-    slo: &SloTarget,
-    mode: &MetricsMode,
-    telemetry: &rago_telemetry::TelemetryConfig,
-    rec: &mut R,
-) -> Result<FleetEvaluation, RagoError> {
-    if schedules.is_empty() {
-        return Err(RagoError::InvalidConfig {
-            reason: "a heterogeneous fleet needs at least one schedule".into(),
-        });
-    }
-    reject_empty_trace(trace)?;
-    check_mode_slo(mode, slo)?;
-    let mut specs = Vec::with_capacity(schedules.len());
-    for schedule in schedules {
-        schedule.validate()?;
-        specs.push(pipeline_spec(profiler, schedule)?);
-    }
-    let engine = ChaosEngine::heterogeneous(specs, router).with_telemetry(telemetry.clone());
-    let requests = trace
-        .requests
-        .iter()
-        .map(rago_serving_sim::engine::EngineRequest::from)
-        .collect();
-    let eval = score_fleet(engine.run_traced(requests, mode, rec).fleet, slo);
-    record_profiler_memo(profiler, rec, eval.report.merged.metrics.makespan_s);
-    Ok(eval)
-}
-
-/// Scores a finished fleet run against `slo`. Shared with
-/// [`crate::cached`].
-pub(crate) fn score_fleet(report: FleetReport, slo: &SloTarget) -> FleetEvaluation {
-    let attainment = report.attainment(slo);
-    let goodput_rps = report.goodput_rps(slo);
-    let meets_slo = report.meets_slo(slo);
-    FleetEvaluation {
-        report,
-        attainment,
-        goodput_rps,
-        meets_slo,
-    }
 }
 
 /// Translates a schedule into the engine's pipeline description using the
@@ -717,11 +408,24 @@ mod tests {
     use super::*;
     use crate::optimizer::{Rago, SearchOptions};
     use crate::placement::PlacementPlan;
+    use crate::scenario::{evaluate_scenario, Evaluation, FleetEvaluation, Scenario};
     use crate::schedule::{BatchingPolicy, ResourceAllocation};
     use rago_hardware::ClusterSpec;
     use rago_schema::presets::{self, LlmSize};
-    use rago_schema::SequenceProfile;
+    use rago_schema::{FleetConfig, RouterPolicy, SequenceProfile};
     use rago_workloads::{ArrivalProcess, TraceSpec};
+
+    /// A static fleet scenario scored against one SLO.
+    fn fleet_eval(
+        profiler: &StageProfiler,
+        schedule: &Schedule,
+        fleet: &FleetConfig,
+        trace: &Trace,
+        slo: &SloTarget,
+    ) -> Result<FleetEvaluation, RagoError> {
+        let scenario = Scenario::new(schedule.clone(), fleet.clone(), trace, *slo);
+        evaluate_scenario(profiler, &scenario).map(Evaluation::into_fleet)
+    }
 
     fn case1_profiler() -> StageProfiler {
         StageProfiler::new(
@@ -881,10 +585,10 @@ mod tests {
         let slo = SloTarget::paper_default();
         let err = evaluate_schedule_dynamic(&profiler, &schedule, &trace, &slo).unwrap_err();
         assert!(matches!(err, RagoError::InvalidConfig { .. }));
-        let err = evaluate_fleet_dynamic(
+        let err = fleet_eval(
             &profiler,
             &schedule,
-            &rago_schema::FleetConfig::new(2, RouterPolicy::LeastOutstanding),
+            &FleetConfig::new(2, RouterPolicy::LeastOutstanding),
             &trace,
             &slo,
         )
@@ -975,10 +679,10 @@ mod tests {
         }
         .generate();
         let fleet = |n: u32| {
-            evaluate_fleet_dynamic(
+            fleet_eval(
                 &profiler,
                 &schedule,
-                &rago_schema::FleetConfig::new(n, RouterPolicy::LeastOutstanding),
+                &FleetConfig::new(n, RouterPolicy::LeastOutstanding),
                 &trace,
                 &slo,
             )
@@ -1024,8 +728,8 @@ mod tests {
             RouterPolicy::LeastOutstanding,
             RouterPolicy::JoinShortestQueue,
         ] {
-            let flat = rago_schema::FleetConfig::new(3, router);
-            let pooled = rago_schema::FleetConfig {
+            let flat = FleetConfig::new(3, router);
+            let pooled = FleetConfig {
                 replicas: 3,
                 // A deliberately different top-level router: the declared
                 // pool's router must win for the [Monolithic] shape.
@@ -1037,8 +741,8 @@ mod tests {
                 )],
                 transfer: rago_schema::KvTransferModel::zero(),
             };
-            let a = evaluate_fleet_dynamic(&profiler, &schedule, &flat, &trace, &slo).unwrap();
-            let b = evaluate_fleet_dynamic(&profiler, &schedule, &pooled, &trace, &slo).unwrap();
+            let a = fleet_eval(&profiler, &schedule, &flat, &trace, &slo).unwrap();
+            let b = fleet_eval(&profiler, &schedule, &pooled, &trace, &slo).unwrap();
             assert_eq!(a.report, b.report, "router {router:?}");
             assert_eq!(a.attainment, b.attainment);
             assert_eq!(a.goodput_rps, b.goodput_rps);
@@ -1062,24 +766,22 @@ mod tests {
             seed: 3,
         }
         .generate();
-        let eval = evaluate_heterogeneous_fleet_dynamic(
-            &profiler,
-            &[small, big],
+        let scenario = Scenario::heterogeneous(
+            vec![small, big],
             RouterPolicy::LeastOutstanding,
             &trace,
-            &slo,
-        )
-        .unwrap();
+            slo,
+        );
+        let eval = evaluate_scenario(&profiler, &scenario)
+            .unwrap()
+            .into_fleet();
         assert_eq!(eval.report.per_replica.len(), 2);
         assert_eq!(eval.report.merged.metrics.completed, 60);
-        assert!(evaluate_heterogeneous_fleet_dynamic(
-            &profiler,
-            &[],
-            RouterPolicy::RoundRobin,
-            &trace,
-            &slo
-        )
-        .is_err());
+        let empty = Scenario::heterogeneous(vec![], RouterPolicy::RoundRobin, &trace, slo);
+        assert!(matches!(
+            evaluate_scenario(&profiler, &empty),
+            Err(RagoError::InvalidConfig { .. })
+        ));
     }
 
     #[test]
@@ -1187,10 +889,11 @@ mod tests {
 
         // The fleet evaluator agrees through the same sink plumbing.
         let fleet = FleetConfig::new(2, RouterPolicy::LeastOutstanding);
-        let exact_fleet =
-            evaluate_fleet_dynamic(&profiler, &schedule, &fleet, &trace, &slo).unwrap();
-        let streamed_fleet =
-            evaluate_fleet_dynamic_with(&profiler, &schedule, &fleet, &trace, &slo, &mode).unwrap();
+        let exact_fleet = fleet_eval(&profiler, &schedule, &fleet, &trace, &slo).unwrap();
+        let streamed_fleet = Scenario::new(schedule.clone(), fleet, &trace, slo).with_mode(mode);
+        let streamed_fleet = evaluate_scenario(&profiler, &streamed_fleet)
+            .unwrap()
+            .into_fleet();
         assert_eq!(streamed_fleet.attainment, exact_fleet.attainment);
         assert_eq!(streamed_fleet.goodput_rps, exact_fleet.goodput_rps);
         assert!(streamed_fleet.report.merged.timelines.is_empty());

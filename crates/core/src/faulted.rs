@@ -1,228 +1,30 @@
-//! Chaos-ready fleet evaluation: faults, admission control, and predictive
-//! scaling scored end to end.
+//! Faults, admission control and predictive scaling.
 //!
-//! [`crate::timevarying::evaluate_fleet_timevarying`] scores an elastic
-//! fleet under time-varying traffic, but assumes every replica stays
-//! healthy and every request is admitted. This module adds the failure
-//! axis: a [`FaultSchedule`] of crashes, stragglers, and spot preemptions
-//! plays against the fleet while it serves, an optional
-//! [`AdmissionConfig`] sheds work by class priority under overload, and
-//! the fleet may be driven by a *predictive* [`ScalingPlan`] — typically
-//! derived from a provisioning-side [`CapacityProfile`] via
-//! [`scaling_plan_from_profile`] — instead of the reactive policy.
+//! A [`crate::scenario::Scenario`] plays a
+//! [`rago_serving_sim::faults::FaultSchedule`] of crashes, stragglers and
+//! spot preemptions against a collocated fleet while it serves (or per-pool
+//! [`rago_serving_sim::pools::PoolCrash`]es against a `[Prefill, Decode]`
+//! split), sheds work by class priority under an optional
+//! [`rago_serving_sim::faults::AdmissionConfig`], and sizes the fleet with a
+//! [`rago_serving_sim::faults::ScaleDriver`] — static, reactive, or a *predictive* [`ScalingPlan`]
+//! derived from a provisioning-side [`CapacityProfile`] by
+//! [`scaling_plan_from_profile`], defined here.
 //!
-//! Scoring switches from *completed* to *offered* attainment: shed
-//! requests count against their class in the denominator, so an admission
-//! controller cannot buy attainment by refusing work. Recovery metrics
-//! (time to SLO re-attainment and the goodput-dip area after each
+//! Scoring is on *offered* traffic: shed requests count against their class
+//! and failed ones against the fleet, so an admission controller cannot buy
+//! attainment by refusing work. When the scenario injects faults, recovery
+//! metrics (time to SLO re-attainment and the goodput-dip area after each
 //! disruption) come from the windowed attainment timeline of the
-//! [`ChaosReport`].
-//!
-//! With no faults, no admission control, and a reactive (or static)
-//! driver, the underlying engine is **bit-identical** to the one behind
-//! [`crate::timevarying::evaluate_fleet_timevarying`] — pinned by
-//! `faultless_scenario_matches_timevarying` below and by the degenerate
-//! tests in `rago-serving-sim`.
+//! [`rago_serving_sim::faults::ChaosReport`]; streaming runs keep no
+//! timelines and report neither.
 
 use crate::capacity::CapacityProfile;
-use crate::dynamic::{pipeline_spec, reject_empty_trace};
-use crate::error::RagoError;
-use crate::profiler::StageProfiler;
-use crate::schedule::Schedule;
-use crate::timevarying::ScalingSummary;
-use rago_schema::{RouterPolicy, SloTarget};
-use rago_serving_sim::faults::{
-    AdmissionConfig, AttainmentWindow, ChaosEngine, ChaosReport, CrashPolicy, FaultSchedule,
-    PlanStep, RecoveryMetrics, ScaleDriver, ScalingPlan,
-};
-use rago_workloads::{Trace, WorkloadMix};
-use serde::{Deserialize, Serialize};
-
-/// Everything that can go wrong (and how the fleet responds) in one
-/// faulted evaluation: the fault schedule, the crash policy, the admission
-/// controller, and the scaling driver.
-///
-/// # Examples
-///
-/// ```
-/// use rago_core::faulted::FaultScenario;
-/// use rago_serving_sim::faults::{FaultEvent, FaultSchedule, ScaleDriver};
-///
-/// let scenario = FaultScenario::new(ScaleDriver::Static { replicas: 3 })
-///     .with_faults(FaultSchedule::new(vec![FaultEvent::Crash {
-///         replica: 0,
-///         at_s: 5.0,
-///         restart_delay_s: 2.0,
-///     }]))
-///     .with_recovery_window(0.5);
-/// assert_eq!(scenario.faults.len(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultScenario {
-    /// How the fleet is sized over time (static, reactive, or predictive).
-    pub driver: ScaleDriver,
-    /// The deterministic fault schedule to inject (empty = no faults).
-    pub faults: FaultSchedule,
-    /// What happens to in-flight work when a replica dies.
-    pub crash_policy: CrashPolicy,
-    /// Admission control, or `None` to admit everything. A configuration
-    /// with an *empty* priority table inherits each class's priority from
-    /// the workload mix ([`rago_workloads::RequestClass::priority`]).
-    pub admission: Option<AdmissionConfig>,
-    /// The SLO recovery metrics are computed against, or `None` to use the
-    /// mix's class-0 SLO.
-    pub recovery_slo: Option<SloTarget>,
-    /// Window width for the attainment timeline and recovery metrics, in
-    /// seconds.
-    pub recovery_window_s: f64,
-}
-
-impl FaultScenario {
-    /// A scenario with no faults, no admission control, requeue-on-crash,
-    /// and a half-second recovery window.
-    pub fn new(driver: ScaleDriver) -> Self {
-        Self {
-            driver,
-            faults: FaultSchedule::empty(),
-            crash_policy: CrashPolicy::default(),
-            admission: None,
-            recovery_slo: None,
-            recovery_window_s: 0.5,
-        }
-    }
-
-    /// Sets the fault schedule.
-    #[must_use]
-    pub fn with_faults(mut self, faults: FaultSchedule) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Sets the crash policy.
-    #[must_use]
-    pub fn with_crash_policy(mut self, policy: CrashPolicy) -> Self {
-        self.crash_policy = policy;
-        self
-    }
-
-    /// Enables admission control.
-    #[must_use]
-    pub fn with_admission(mut self, admission: AdmissionConfig) -> Self {
-        self.admission = Some(admission);
-        self
-    }
-
-    /// Sets the SLO recovery metrics are scored against.
-    #[must_use]
-    pub fn with_recovery_slo(mut self, slo: SloTarget) -> Self {
-        self.recovery_slo = Some(slo);
-        self
-    }
-
-    /// Sets the recovery/timeline window width.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `window_s` is finite and positive.
-    #[must_use]
-    pub fn with_recovery_window(mut self, window_s: f64) -> Self {
-        assert!(
-            window_s.is_finite() && window_s > 0.0,
-            "recovery window must be finite and positive, got {window_s}"
-        );
-        self.recovery_window_s = window_s;
-        self
-    }
-}
-
-/// One tenant class's outcome under faults, scored on *offered* traffic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultedClassOutcome {
-    /// The workload-class tag (index into the mix).
-    pub class: u32,
-    /// The tenant name from the mix.
-    pub name: String,
-    /// Requests of this class offered to the fleet (completed + shed; lost
-    /// requests — [`CrashPolicy::Fail`] casualties and work stranded after
-    /// the last replica died — are counted fleet-wide in
-    /// [`ChaosReport::fault`], not per class).
-    pub offered: usize,
-    /// Requests of this class that completed.
-    pub completed: usize,
-    /// Requests of this class shed by admission control.
-    pub shed: usize,
-    /// The admission priority the class was shed under.
-    pub priority: u32,
-    /// The SLO this tenant was scored against (its own, from the mix).
-    pub slo: SloTarget,
-    /// Fraction of *offered* requests meeting the class SLO (shed requests
-    /// count as misses; 1.0 when the class offered nothing).
-    pub attainment: f64,
-    /// Requests meeting the class SLO per second of the class's serving
-    /// window, in requests per second.
-    pub goodput_rps: f64,
-    /// Whether offered attainment reaches the SLO's required fraction.
-    pub meets_slo: bool,
-}
-
-/// The outcome of one faulted fleet evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultedEvaluation {
-    /// The full chaos run: merged fleet report, scaling events, lifetimes,
-    /// and the fault ledger.
-    pub chaos: ChaosReport,
-    /// Fraction of all *offered* requests meeting their own class's SLO
-    /// (shed and lost requests count as misses).
-    pub attainment: f64,
-    /// Requests meeting their class SLO per second of fleet serving
-    /// duration.
-    pub goodput_rps: f64,
-    /// Whether every class reaches its own SLO's attainment requirement on
-    /// offered traffic.
-    pub meets_slo: bool,
-    /// Per-tenant outcomes, by class id.
-    pub per_class: Vec<FaultedClassOutcome>,
-    /// Scaling history (always present: a chaos run tracks lifetimes even
-    /// for a static fleet, since faults change the provisioned count).
-    pub scaling: ScalingSummary,
-    /// Windowed SLO-attainment timeline over the run, for recovery plots.
-    pub timeline: Vec<AttainmentWindow>,
-    /// Per-disruption recovery metrics (time to re-attainment, dip area).
-    pub recovery: Vec<RecoveryMetrics>,
-    /// Integral of provisioned replicas over time, in replica-seconds —
-    /// dead replicas stop accruing at their death instant.
-    pub replica_seconds: f64,
-    /// `replica_seconds × total XPUs per replica` — the chip-time the
-    /// deployment paid.
-    pub chip_seconds: f64,
-}
-
-impl FaultedEvaluation {
-    /// Chip-hours paid by the deployment.
-    pub fn chip_hours(&self) -> f64 {
-        self.chip_seconds / 3600.0
-    }
-
-    /// The worst per-disruption time-to-reattainment, or `None` when no
-    /// disruption occurred or some disruption never recovered within the
-    /// run (a non-recovery is *worse* than any finite time, so callers
-    /// should treat `None` after a disruption as failure).
-    pub fn worst_recovery_s(&self) -> Option<f64> {
-        if self.recovery.is_empty() {
-            return None;
-        }
-        self.recovery
-            .iter()
-            .map(|r| r.reattainment_s)
-            .collect::<Option<Vec<f64>>>()
-            .map(|times| times.into_iter().fold(0.0, f64::max))
-    }
-}
+use rago_serving_sim::faults::{PlanStep, ScalingPlan};
 
 /// Converts a provisioning-side [`CapacityProfile`] (the per-interval
 /// replica schedule [`crate::capacity::plan_capacity_profile`] computes)
 /// into the feed-forward [`ScalingPlan`] a predictive
-/// [`ScaleDriver::Predictive`] executes — the planning loop closed: size
+/// [`rago_serving_sim::faults::ScaleDriver::Predictive`] executes — the planning loop closed: size
 /// the fleet offline from the known rate profile, then play that schedule
 /// forward against the live trace.
 ///
@@ -306,196 +108,28 @@ pub fn scaling_plan_from_profile(profile: &CapacityProfile, lead_s: f64) -> Scal
     ScalingPlan::new(initial, steps)
 }
 
-/// Evaluates `schedule`'s pipeline as a fleet under `trace` while the
-/// `scenario`'s fault schedule plays against it, scoring every tenant's
-/// *offered* traffic against its own SLO from `mix`.
-///
-/// The fleet is sized by `scenario.driver` (`fleet` supplies only the
-/// router — the driver owns the replica count), admission control sheds by
-/// class priority when configured, and every disruption's recovery is
-/// measured on the windowed attainment timeline.
-///
-/// # Errors
-///
-/// Returns [`RagoError::InvalidConfig`] for invalid schedules, an empty
-/// trace, a class tag outside the mix, or an invalid per-class SLO, and
-/// [`RagoError::CostModel`] when the schedule cannot be profiled.
-pub fn evaluate_fleet_faulted(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    router: RouterPolicy,
-    mix: &WorkloadMix,
-    trace: &Trace,
-    scenario: &FaultScenario,
-) -> Result<FaultedEvaluation, RagoError> {
-    schedule.validate()?;
-    reject_empty_trace(trace)?;
-    let num_classes = mix.num_classes() as u32;
-    if let Some(bad) = trace.requests.iter().find(|r| r.class >= num_classes) {
-        return Err(RagoError::InvalidConfig {
-            reason: format!(
-                "request {} carries class tag {} but the mix has only {num_classes} classes",
-                bad.id, bad.class
-            ),
-        });
-    }
-    for class in &mix.classes {
-        class.slo.validate().map_err(|e| RagoError::InvalidConfig {
-            reason: format!("class `{}`: {e}", class.name),
-        })?;
-    }
-
-    // An admission configuration with an empty priority table inherits the
-    // mix's per-class priorities.
-    let admission = scenario.admission.clone().map(|mut a| {
-        if a.class_priorities.is_empty() {
-            for (i, class) in mix.classes.iter().enumerate() {
-                a = a.with_class_priority(i as u32, class.priority);
-            }
-        }
-        a
-    });
-
-    let spec = pipeline_spec(profiler, schedule)?;
-    let mut engine = ChaosEngine::new(spec, router, scenario.driver.clone())
-        .with_faults(scenario.faults.clone())
-        .with_crash_policy(scenario.crash_policy);
-    if let Some(a) = admission.clone() {
-        engine = engine.with_admission(a);
-    }
-    let chaos = engine.run_trace(trace);
-
-    // Offered attainment: a shed request is an offered request that missed
-    // its SLO. Completed counts and SLO hits come from the merged report's
-    // per-class accounting; shed counts from the fault ledger.
-    let shed_of = |class: u32| {
-        chaos
-            .fault
-            .shed_by_class
-            .iter()
-            .find(|s| s.class == class)
-            .map_or(0, |s| s.shed)
-    };
-    let mut met_total = 0usize;
-    let mut offered_total = 0usize;
-    let per_class: Vec<FaultedClassOutcome> = mix
-        .classes
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let class = i as u32;
-            let (met, completed) = chaos.fleet.merged.class_slo_counts(class, &c.slo);
-            let shed = shed_of(class);
-            let offered = completed + shed;
-            met_total += met;
-            offered_total += offered;
-            let attainment = if offered == 0 {
-                1.0
-            } else {
-                met as f64 / offered as f64
-            };
-            let priority = admission
-                .as_ref()
-                .map_or_else(|| c.priority, |a| a.priority_of(class));
-            FaultedClassOutcome {
-                class,
-                name: c.name.clone(),
-                offered,
-                completed,
-                shed,
-                priority,
-                slo: c.slo,
-                attainment,
-                goodput_rps: chaos.fleet.merged.class_goodput_rps(class, &c.slo),
-                meets_slo: attainment >= c.slo.attainment,
-            }
-        })
-        .collect();
-    // Lost requests (failed) have no class attribution; count them against
-    // the fleet-wide denominator so attainment stays honest.
-    let offered_all = offered_total + chaos.fault.failed;
-    let attainment = if offered_all == 0 {
-        1.0
-    } else {
-        met_total as f64 / offered_all as f64
-    };
-    let serving_duration = chaos.fleet.merged.metrics.serving_duration_s;
-    let goodput_rps = if serving_duration > 0.0 {
-        met_total as f64 / serving_duration
-    } else {
-        0.0
-    };
-    let meets_slo = per_class.iter().all(|c| c.meets_slo) && chaos.fault.failed == 0;
-
-    let recovery_slo = scenario.recovery_slo.unwrap_or(mix.classes[0].slo);
-    let timeline = chaos.attainment_timeline(&recovery_slo, scenario.recovery_window_s);
-    let recovery = chaos.recovery(&recovery_slo, scenario.recovery_window_s);
-
-    let scaling = ScalingSummary {
-        peak_provisioned: chaos.peak_provisioned,
-        min_provisioned: chaos.min_provisioned,
-        mean_provisioned: chaos.mean_provisioned(),
-        events: chaos.events.clone(),
-        lifetimes: chaos.lifetimes.clone(),
-    };
-    let replica_seconds = chaos.replica_seconds;
-    let chip_seconds = replica_seconds * f64::from(schedule.allocation.total_xpus());
-
-    Ok(FaultedEvaluation {
-        chaos,
-        attainment,
-        goodput_rps,
-        meets_slo,
-        per_class,
-        scaling,
-        timeline,
-        recovery,
-        replica_seconds,
-        chip_seconds,
-    })
-}
-
-/// The disaggregated analogue of [`evaluate_fleet_faulted`]: plays a
-/// schedule of per-pool crashes ([`rago_serving_sim::pools::PoolCrash`])
-/// against a `[Prefill, Decode]` pool fleet while it serves `trace`, and
-/// scores the stitched result against `slo`.
-///
-/// Crash semantics are pool-typed: a prefill-replica crash re-queues its
-/// un-prefilled and un-transferred work onto prefill *survivors* only; a
-/// decode-replica crash sends its in-flight decodes back through the
-/// transfer lane to surviving decode replicas. The requeue counters land in
-/// [`rago_serving_sim::pools::TransferStats`] on the returned report.
-///
-/// # Errors
-///
-/// As [`crate::disagg::evaluate_fleet_disagg`], plus
-/// [`RagoError::InvalidConfig`] for crashes targeting the Monolithic pool,
-/// an out-of-range replica, or carrying non-finite timings.
-pub fn evaluate_fleet_faulted_pools(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &rago_schema::FleetConfig,
-    crashes: &[rago_serving_sim::pools::PoolCrash],
-    trace: &Trace,
-    slo: &SloTarget,
-) -> Result<crate::disagg::DisaggEvaluation, RagoError> {
-    let report = crate::disagg::run_disagg(profiler, schedule, fleet, trace, None, crashes)?;
-    Ok(crate::disagg::score_disagg(report, schedule, slo))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::capacity::{plan_capacity_profile, CapacityOptions};
+    use crate::error::RagoError;
     use crate::placement::PlacementPlan;
-    use crate::schedule::{BatchingPolicy, ResourceAllocation};
-    use crate::timevarying::evaluate_fleet_timevarying;
+    use crate::profiler::StageProfiler;
+    use crate::scenario::{evaluate_scenario, Evaluation, FleetEvaluation, Scenario};
+    use crate::schedule::{BatchingPolicy, ResourceAllocation, Schedule};
     use rago_hardware::ClusterSpec;
     use rago_schema::presets::{self, LlmSize};
-    use rago_schema::{FleetConfig, SequenceProfile, Stage};
+    use rago_schema::{
+        FleetConfig, HistogramSpec, RouterPolicy, SequenceProfile, SloTarget, Stage,
+    };
     use rago_serving_sim::autoscaler::AutoscalerPolicy;
-    use rago_serving_sim::faults::FaultEvent;
-    use rago_workloads::{ArrivalProcess, MixTraceSpec, RateSegment, RequestClass};
+    use rago_serving_sim::faults::{
+        AdmissionConfig, FaultEvent, FaultSchedule, PredictivePolicy, ScaleDriver,
+    };
+    use rago_serving_sim::{MetricsMode, StreamingConfig};
+    use rago_workloads::{
+        ArrivalProcess, MixTraceSpec, RateSegment, RequestClass, Trace, WorkloadMix,
+    };
 
     fn case1_profiler() -> StageProfiler {
         StageProfiler::new(
@@ -552,45 +186,14 @@ mod tests {
         .generate()
     }
 
-    /// The degenerate pin at the core layer: no faults, no admission,
-    /// reactive driver ⇒ the same fleet report and cost as the
-    /// time-varying evaluation.
-    #[test]
-    fn faultless_scenario_matches_timevarying() {
-        let profiler = case1_profiler();
-        let schedule = case1_schedule();
-        let mix = priority_mix();
-        let trace = diurnal_trace(&mix, 300);
-        let policy = AutoscalerPolicy::new(1, 4)
-            .with_evaluation_interval(0.5)
-            .with_scale_out_queue_depth(1.0)
-            .with_scale_in_outstanding(2.0)
-            .with_cooldown(2.0)
-            .with_warmup(0.5);
-        let fleet = FleetConfig::new(1, RouterPolicy::LeastOutstanding);
-        let baseline =
-            evaluate_fleet_timevarying(&profiler, &schedule, &fleet, &mix, &trace, Some(&policy))
-                .unwrap();
-        let scenario = FaultScenario::new(ScaleDriver::Reactive(policy));
-        let faulted = evaluate_fleet_faulted(
-            &profiler,
-            &schedule,
-            RouterPolicy::LeastOutstanding,
-            &mix,
-            &trace,
-            &scenario,
-        )
-        .unwrap();
-        assert_eq!(faulted.chaos.fleet, baseline.report);
-        assert_eq!(faulted.replica_seconds, baseline.replica_seconds);
-        assert_eq!(faulted.chip_seconds, baseline.chip_seconds);
-        // With nothing shed or lost, offered attainment equals completed
-        // attainment.
-        assert_eq!(faulted.attainment, baseline.attainment);
-        assert_eq!(faulted.goodput_rps, baseline.goodput_rps);
-        assert!(faulted.recovery.is_empty());
-        assert_eq!(faulted.chaos.fault.shed, 0);
-        assert_eq!(faulted.chaos.fault.failed, 0);
+    /// A mix-scored scenario of `replicas` LeastOutstanding replicas.
+    fn scenario<'a>(mix: &WorkloadMix, trace: &'a Trace, replicas: u32) -> Scenario<'a> {
+        let fleet = FleetConfig::new(replicas, RouterPolicy::LeastOutstanding);
+        Scenario::new(case1_schedule(), fleet, trace, mix.clone())
+    }
+
+    fn run(scenario: &Scenario<'_>) -> Result<FleetEvaluation, RagoError> {
+        evaluate_scenario(&case1_profiler(), scenario).map(Evaluation::into_fleet)
     }
 
     /// The acceptance criterion: under a single-replica crash with
@@ -598,8 +201,6 @@ mod tests {
     /// fleet's share of the lost replica.
     #[test]
     fn high_priority_class_degrades_less_than_fleet_share() {
-        let profiler = case1_profiler();
-        let schedule = case1_schedule();
         let mix = priority_mix();
         let trace = diurnal_trace(&mix, 400);
         let replicas = 3u32;
@@ -608,33 +209,17 @@ mod tests {
             at_s: 4.0, // near the first diurnal peak
             restart_delay_s: 6.0,
         }]);
-        let scenario = FaultScenario::new(ScaleDriver::Static { replicas })
+        let healthy = run(&scenario(&mix, &trace, replicas)).unwrap();
+        let faulted = run(&scenario(&mix, &trace, replicas)
             .with_faults(crash)
-            .with_admission(AdmissionConfig::new(4.0, 24.0));
-        let healthy = evaluate_fleet_faulted(
-            &profiler,
-            &schedule,
-            RouterPolicy::LeastOutstanding,
-            &mix,
-            &trace,
-            &FaultScenario::new(ScaleDriver::Static { replicas }),
-        )
-        .unwrap();
-        let faulted = evaluate_fleet_faulted(
-            &profiler,
-            &schedule,
-            RouterPolicy::LeastOutstanding,
-            &mix,
-            &trace,
-            &scenario,
-        )
+            .with_admission(AdmissionConfig::new(4.0, 24.0)))
         .unwrap();
         // Priorities were inherited from the mix (empty table).
         let chat = &faulted.per_class[1];
         assert_eq!(chat.priority, 2);
         assert_eq!(faulted.per_class[0].priority, 0);
         // The crash actually disrupted the run.
-        assert_eq!(faulted.chaos.fault.disruptions.len(), 1);
+        assert_eq!(faulted.fault.disruptions.len(), 1);
         // The high-priority class's attainment drop is bounded by the
         // fleet share of the lost replica (1/3 here).
         let healthy_chat = &healthy.per_class[1];
@@ -646,10 +231,7 @@ mod tests {
         );
         // Shed is attributed per class and offered conservation holds.
         let offered: usize = faulted.per_class.iter().map(|c| c.offered).sum();
-        assert_eq!(
-            offered + faulted.chaos.fault.failed,
-            faulted.chaos.fault.injected
-        );
+        assert_eq!(offered + faulted.fault.failed, faulted.fault.injected);
     }
 
     #[test]
@@ -701,26 +283,17 @@ mod tests {
             seed: 11,
         }
         .generate();
-        let scenario = FaultScenario::new(ScaleDriver::Predictive(
-            rago_serving_sim::faults::PredictivePolicy::new(plan.clone(), 0.5),
-        ));
-        let eval = evaluate_fleet_faulted(
-            &profiler,
-            &schedule,
-            RouterPolicy::LeastOutstanding,
-            &mix,
-            &trace,
-            &scenario,
-        )
-        .unwrap();
-        assert_eq!(eval.chaos.fault.completed, 300);
-        assert_eq!(eval.scaling.peak_provisioned, peak_target.max(plan.initial));
+        let driver = ScaleDriver::Predictive(PredictivePolicy::new(plan.clone(), 0.5));
+        let eval = run(&scenario(&mix, &trace, 1).with_driver(driver)).unwrap();
+        assert_eq!(eval.fault.completed, 300);
+        let scaling = eval
+            .scaling
+            .expect("a predictive run has a scaling history");
+        assert_eq!(scaling.peak_provisioned, peak_target.max(plan.initial));
     }
 
     #[test]
     fn recovery_metrics_follow_a_crash() {
-        let profiler = case1_profiler();
-        let schedule = case1_schedule();
         let slo = SloTarget::new(2.0, 0.1).with_attainment(0.8);
         let profile = SequenceProfile::paper_default().with_decode_tokens(32);
         let mix = WorkloadMix::single("all", profile, 0.1, slo);
@@ -731,27 +304,19 @@ mod tests {
             seed: 17,
         }
         .generate();
-        let scenario = FaultScenario::new(ScaleDriver::Static { replicas: 2 })
+        let eval = run(&scenario(&mix, &trace, 2)
             .with_faults(FaultSchedule::new(vec![FaultEvent::Crash {
                 replica: 0,
                 at_s: 3.0,
                 restart_delay_s: 1.0,
             }]))
-            .with_recovery_window(0.5);
-        let eval = evaluate_fleet_faulted(
-            &profiler,
-            &schedule,
-            RouterPolicy::LeastOutstanding,
-            &mix,
-            &trace,
-            &scenario,
-        )
+            .with_recovery_window(0.5))
         .unwrap();
         assert_eq!(eval.recovery.len(), 1);
         assert!(eval.recovery[0].dip_area >= 0.0);
         assert!(!eval.timeline.is_empty());
         let covered: usize = eval.timeline.iter().map(|w| w.completed).sum();
-        assert_eq!(covered, eval.chaos.fault.completed);
+        assert_eq!(covered, eval.fault.completed);
         if eval.recovery[0].reattainment_s.is_some() {
             assert_eq!(eval.worst_recovery_s(), eval.recovery[0].reattainment_s);
         }
@@ -759,35 +324,85 @@ mod tests {
 
     #[test]
     fn invalid_inputs_are_rejected() {
-        let profiler = case1_profiler();
-        let schedule = case1_schedule();
         let mix = priority_mix();
-        let scenario = FaultScenario::new(ScaleDriver::Static { replicas: 1 });
         let empty = Trace { requests: vec![] };
         assert!(matches!(
-            evaluate_fleet_faulted(
-                &profiler,
-                &schedule,
-                RouterPolicy::RoundRobin,
-                &mix,
-                &empty,
-                &scenario
-            ),
+            run(&scenario(&mix, &empty, 1)),
             Err(RagoError::InvalidConfig { .. })
         ));
         let mut trace = diurnal_trace(&mix, 10);
         trace.requests[2].class = 9;
         assert!(matches!(
-            evaluate_fleet_faulted(
-                &profiler,
-                &schedule,
-                RouterPolicy::RoundRobin,
-                &mix,
-                &trace,
-                &scenario
-            ),
+            run(&scenario(&mix, &trace, 1)),
             Err(RagoError::InvalidConfig { .. })
         ));
+        // Inputs the engine builders panic on are configuration errors: a
+        // zero-replica static fleet, an inverted autoscaler range, a NaN
+        // recovery window.
+        let trace = diurnal_trace(&mix, 10);
+        let inverted = AutoscalerPolicy {
+            min_replicas: 3,
+            max_replicas: 1,
+            ..AutoscalerPolicy::new(1, 1)
+        };
+        for bad in [
+            scenario(&mix, &trace, 1).with_driver(ScaleDriver::Static { replicas: 0 }),
+            scenario(&mix, &trace, 1).with_driver(ScaleDriver::Reactive(inverted)),
+            scenario(&mix, &trace, 1).with_recovery_window(f64::NAN),
+        ] {
+            assert!(matches!(run(&bad), Err(RagoError::InvalidConfig { .. })));
+        }
+    }
+
+    /// Every scenario has a metrics mode now: streaming runs of static,
+    /// reactive and crash-with-admission scenarios score the same bits as
+    /// exact ones, and keep no timeline or recovery analysis.
+    #[test]
+    fn streaming_faulted_scenarios_match_exact() {
+        let mix = priority_mix();
+        let trace = diurnal_trace(&mix, 400);
+        let reactive = AutoscalerPolicy::new(1, 4)
+            .with_evaluation_interval(0.5)
+            .with_scale_out_queue_depth(1.0)
+            .with_scale_in_outstanding(2.0)
+            .with_cooldown(2.0)
+            .with_warmup(0.5);
+        let crash = FaultSchedule::new(vec![FaultEvent::Crash {
+            replica: 0,
+            at_s: 4.0,
+            restart_delay_s: 2.0,
+        }]);
+        let streaming = MetricsMode::Streaming(StreamingConfig::new(HistogramSpec::default()));
+        let mut shed = 0;
+        for base in [
+            scenario(&mix, &trace, 3),
+            scenario(&mix, &trace, 1).with_driver(ScaleDriver::Reactive(reactive)),
+            scenario(&mix, &trace, 2)
+                .with_faults(crash.clone())
+                .with_admission(AdmissionConfig::new(0.5, 4.0)),
+        ] {
+            let exact = run(&base).unwrap();
+            let streamed = run(&base.clone().with_mode(streaming.clone())).unwrap();
+            assert_eq!(streamed.attainment.to_bits(), exact.attainment.to_bits());
+            assert_eq!(streamed.goodput_rps.to_bits(), exact.goodput_rps.to_bits());
+            assert_eq!(streamed.meets_slo, exact.meets_slo);
+            assert_eq!(
+                streamed.replica_seconds.to_bits(),
+                exact.replica_seconds.to_bits()
+            );
+            assert_eq!(streamed.per_class, exact.per_class);
+            assert_eq!(streamed.fault.shed, exact.fault.shed);
+            assert_eq!(streamed.fault.failed, exact.fault.failed);
+            assert!(streamed.timeline.is_empty() && streamed.recovery.is_empty());
+            assert!(streamed.report.merged.timelines.is_empty());
+            shed += exact.fault.shed;
+            assert_eq!(exact.timeline.is_empty(), exact.scaling.is_none());
+            assert_eq!(exact.recovery.is_empty(), base.faults.is_empty());
+        }
+        assert!(
+            shed > 0,
+            "admission never shed, so the shed counts were not compared"
+        );
     }
 
     /// A prefill-pool crash mid-run degrades (never improves) the split's
@@ -795,34 +410,36 @@ mod tests {
     /// crash targets error instead of panicking.
     #[test]
     fn pool_crashes_requeue_to_survivors_and_degrade_attainment() {
-        use rago_schema::{FleetConfig, PoolRole, SloTarget};
+        use rago_schema::PoolRole;
         use rago_serving_sim::pools::PoolCrash;
-        use rago_workloads::{ArrivalProcess, TraceSpec};
+        use rago_workloads::TraceSpec;
 
         let profiler = case1_profiler();
-        let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let trace = TraceSpec {
             num_requests: 120,
-            profile: rago_schema::SequenceProfile::paper_default().with_decode_tokens(16),
+            profile: SequenceProfile::paper_default().with_decode_tokens(16),
             arrival: ArrivalProcess::Poisson { rate_rps: 120.0 },
             length_jitter: 0.2,
             seed: 23,
         }
         .generate();
         let fleet = FleetConfig::split(2, 1, RouterPolicy::LeastOutstanding);
-        let healthy =
-            crate::disagg::evaluate_fleet_disagg(&profiler, &schedule, &fleet, &trace, &slo)
-                .unwrap();
-        let crash = PoolCrash {
+        let split = Scenario::new(case1_schedule(), fleet, &trace, slo);
+        let evaluate = |crash: PoolCrash| {
+            let crashed = split.clone().with_pool_crashes(vec![crash]);
+            evaluate_scenario(&profiler, &crashed).and_then(Evaluation::into_disagg)
+        };
+        let healthy = evaluate_scenario(&profiler, &split)
+            .and_then(Evaluation::into_disagg)
+            .unwrap();
+        let crashed = evaluate(PoolCrash {
             pool: PoolRole::Prefill,
             replica: 0,
             at_s: 0.2,
             restart_delay_s: None,
-        };
-        let crashed =
-            evaluate_fleet_faulted_pools(&profiler, &schedule, &fleet, &[crash], &trace, &slo)
-                .unwrap();
+        })
+        .unwrap();
         // Conservation: every request still completes on the survivors.
         assert_eq!(crashed.report.merged.metrics.completed, 120);
         assert!(crashed.attainment <= healthy.attainment);
@@ -834,7 +451,7 @@ mod tests {
             restart_delay_s: None,
         };
         assert!(matches!(
-            evaluate_fleet_faulted_pools(&profiler, &schedule, &fleet, &[bad], &trace, &slo),
+            evaluate(bad),
             Err(RagoError::InvalidConfig { .. })
         ));
     }

@@ -9,6 +9,15 @@
 //! time-to-first-token versus QPS-per-chip, together with the schedules that
 //! achieve it (Algorithm 1).
 //!
+//! Beyond the static search, schedules are scored under real request
+//! streams: [`dynamic`] runs one replica through the discrete-event engine,
+//! and [`scenario`] is the one fleet evaluator — a [`Scenario`] holds every
+//! axis of a fleet run (schedules, pools, trace and scoring, caches, scale
+//! driver, faults, admission, metrics mode), [`Scenario::validate`] is the
+//! one validation boundary, and [`evaluate_scenario`] runs any valid
+//! combination. The planners in [`capacity`] and [`cached`] size fleets and
+//! the rankers re-score Pareto frontiers on top of the same engines.
+//!
 //! The crate also provides the LLM-system-extension [`baseline`] the paper
 //! compares against, and the resource-normalized time [`breakdown`] used in
 //! the workload-characterization figures.
@@ -46,6 +55,7 @@ pub mod optimizer;
 pub mod pareto;
 pub mod placement;
 pub mod profiler;
+pub mod scenario;
 pub mod schedule;
 pub mod search;
 pub mod timevarying;
@@ -53,9 +63,8 @@ pub mod timevarying;
 pub use baseline::BaselineSystem;
 pub use breakdown::{stage_breakdown, StageShare};
 pub use cached::{
-    evaluate_fleet_cached, evaluate_fleet_cached_with, evaluate_schedule_cached,
-    evaluate_schedule_cached_with, plan_capacity_cached, rank_frontier_by_goodput_cached,
-    CacheConfig, CachedCapacityPlan,
+    evaluate_schedule_cached, evaluate_schedule_cached_with, plan_capacity_cached,
+    rank_frontier_by_goodput_cached, CacheConfig, CachedCapacityPlan,
 };
 pub use capacity::{
     plan_capacity, plan_capacity_pools, plan_capacity_profile, plan_capacity_with,
@@ -63,33 +72,27 @@ pub use capacity::{
     PoolCapacityPlan, MAX_PLANNER_REPLICAS,
 };
 pub use disagg::{
-    evaluate_fleet_disagg, evaluate_fleet_disagg_cached, rank_frontier_by_goodput_disagg,
-    transfer_model_from_interconnect, DisaggChoice, DisaggEvaluation,
+    rank_frontier_by_goodput_disagg, transfer_model_from_interconnect, DisaggChoice,
+    DisaggEvaluation,
 };
 pub use dynamic::{
-    evaluate_fleet_dynamic, evaluate_fleet_dynamic_traced, evaluate_fleet_dynamic_with,
-    evaluate_heterogeneous_fleet_dynamic, evaluate_heterogeneous_fleet_dynamic_traced,
-    evaluate_heterogeneous_fleet_dynamic_with, evaluate_schedule_dynamic,
-    evaluate_schedule_dynamic_traced, evaluate_schedule_dynamic_with, rank_frontier_by_goodput,
-    record_profiler_memo, DynamicEvaluation, FleetEvaluation,
+    evaluate_schedule_dynamic, evaluate_schedule_dynamic_with, rank_frontier_by_goodput,
+    record_profiler_memo, DynamicEvaluation,
 };
 pub use error::RagoError;
-pub use faulted::{
-    evaluate_fleet_faulted, evaluate_fleet_faulted_pools, scaling_plan_from_profile, FaultScenario,
-    FaultedClassOutcome, FaultedEvaluation,
-};
+pub use faulted::scaling_plan_from_profile;
 pub use metrics::RagPerformance;
 pub use optimizer::{Rago, ScheduleIter, SearchOptions};
 pub use pareto::{ParetoAccumulator, ParetoFrontier, ParetoPoint};
 pub use placement::PlacementPlan;
 pub use profiler::{StagePerf, StageProfiler};
 pub use rago_serving_sim::{MetricsMode, StreamingConfig};
+pub use scenario::{
+    evaluate_scenario, evaluate_scenario_recorded, Evaluation, FleetEvaluation, Scenario, Scoring,
+};
 pub use schedule::{BatchingPolicy, ResourceAllocation, Schedule};
 pub use search::{
     AnytimeSample, BeamEntry, BestSamples, ScheduleSpace, SearchMode, StochasticConfig,
     StochasticSearchReport,
 };
-pub use timevarying::{
-    evaluate_fleet_timevarying, evaluate_fleet_timevarying_with, ClassOutcome, ScalingSummary,
-    TimeVaryingEvaluation,
-};
+pub use timevarying::{ClassOutcome, ScalingSummary};

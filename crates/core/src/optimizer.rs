@@ -447,21 +447,38 @@ impl Rago {
         crate::dynamic::rank_frontier_by_goodput(&self.profiler, frontier, trace, slo)
     }
 
-    /// Evaluates one schedule as a *fleet*: `fleet.replicas` copies of its
-    /// pipeline behind `fleet.router`, sharing the trace's arrival stream.
-    /// See [`crate::dynamic::evaluate_fleet_dynamic`].
+    /// Evaluates any [`crate::scenario::Scenario`]: fleet shape, caches,
+    /// scale driver, faults, admission, per-class scoring and metrics mode.
+    /// See [`crate::scenario::evaluate_scenario`].
     ///
     /// # Errors
     ///
-    /// Propagates [`crate::dynamic::evaluate_fleet_dynamic`] errors.
+    /// Propagates [`crate::scenario::evaluate_scenario`] errors.
+    pub fn evaluate_scenario(
+        &self,
+        scenario: &crate::scenario::Scenario<'_>,
+    ) -> Result<crate::scenario::Evaluation, RagoError> {
+        crate::scenario::evaluate_scenario(&self.profiler, scenario)
+    }
+
+    /// Evaluates one schedule as a *fleet*: `fleet.replicas` copies of its
+    /// pipeline behind the fleet's router, sharing the trace's arrival
+    /// stream — a static [`crate::scenario::Scenario`] scored against
+    /// `slo`. A `[Prefill, Decode]` pool fleet comes back flattened (see
+    /// [`crate::scenario::Evaluation::into_fleet`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`crate::scenario::evaluate_scenario`] errors.
     pub fn evaluate_fleet(
         &self,
         schedule: &Schedule,
         fleet: &rago_schema::FleetConfig,
         trace: &rago_workloads::Trace,
         slo: &rago_schema::SloTarget,
-    ) -> Result<crate::dynamic::FleetEvaluation, RagoError> {
-        crate::dynamic::evaluate_fleet_dynamic(&self.profiler, schedule, fleet, trace, slo)
+    ) -> Result<crate::scenario::FleetEvaluation, RagoError> {
+        let scenario = crate::scenario::Scenario::new(schedule.clone(), fleet.clone(), trace, *slo);
+        Ok(self.evaluate_scenario(&scenario)?.into_fleet())
     }
 
     /// Sizes a fleet of `schedule` replicas for `target_qps` within `slo`:
@@ -504,12 +521,13 @@ impl Rago {
 
     /// Evaluates one schedule as a *disaggregated* fleet: its pre-decode
     /// stages on a Prefill pool, its decode on a Decode pool, every KV
-    /// handoff priced by `fleet.transfer`, scored per chip. See
-    /// [`crate::disagg::evaluate_fleet_disagg`].
+    /// handoff priced by `fleet.transfer`, scored per chip — a static
+    /// [`crate::scenario::Scenario`] over a `[Prefill, Decode]` pool pair.
     ///
     /// # Errors
     ///
-    /// Propagates [`crate::disagg::evaluate_fleet_disagg`] errors.
+    /// Propagates [`crate::scenario::evaluate_scenario`] errors, and
+    /// returns [`RagoError::InvalidConfig`] when `fleet` is not a pool pair.
     pub fn evaluate_fleet_disagg(
         &self,
         schedule: &Schedule,
@@ -517,7 +535,8 @@ impl Rago {
         trace: &rago_workloads::Trace,
         slo: &rago_schema::SloTarget,
     ) -> Result<crate::disagg::DisaggEvaluation, RagoError> {
-        crate::disagg::evaluate_fleet_disagg(&self.profiler, schedule, fleet, trace, slo)
+        let scenario = crate::scenario::Scenario::new(schedule.clone(), fleet.clone(), trace, *slo);
+        self.evaluate_scenario(&scenario)?.into_disagg()
     }
 
     /// Sizes the cheapest disaggregated `(prefill, decode)` split of
@@ -547,6 +566,11 @@ impl Rago {
 
     /// The joint (schedule, pool split, interconnect) ranking by goodput
     /// per chip. See [`crate::disagg::rank_frontier_by_goodput_disagg`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`crate::disagg::rank_frontier_by_goodput_disagg`]
+    /// errors.
     pub fn rank_frontier_by_goodput_disagg(
         &self,
         frontier: &ParetoFrontier,
@@ -554,11 +578,14 @@ impl Rago {
         slo: &rago_schema::SloTarget,
         splits: &[(u32, u32)],
         interconnects: &[rago_hardware::InterconnectSpec],
-    ) -> Vec<(
-        crate::pareto::ParetoPoint,
-        crate::disagg::DisaggChoice,
-        crate::disagg::DisaggEvaluation,
-    )> {
+    ) -> Result<
+        Vec<(
+            crate::pareto::ParetoPoint,
+            crate::disagg::DisaggChoice,
+            crate::disagg::DisaggEvaluation,
+        )>,
+        RagoError,
+    > {
         crate::disagg::rank_frontier_by_goodput_disagg(
             &self.profiler,
             frontier,
@@ -566,61 +593,6 @@ impl Rago {
             slo,
             splits,
             interconnects,
-        )
-    }
-
-    /// Evaluates one schedule as a (possibly autoscaled) fleet under a
-    /// class-tagged, possibly time-varying trace, scoring every tenant
-    /// against its own SLO. See
-    /// [`crate::timevarying::evaluate_fleet_timevarying`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::timevarying::evaluate_fleet_timevarying`]
-    /// errors.
-    pub fn evaluate_fleet_timevarying(
-        &self,
-        schedule: &Schedule,
-        fleet: &rago_schema::FleetConfig,
-        mix: &rago_workloads::WorkloadMix,
-        trace: &rago_workloads::Trace,
-        autoscaler: Option<&rago_serving_sim::autoscaler::AutoscalerPolicy>,
-    ) -> Result<crate::timevarying::TimeVaryingEvaluation, RagoError> {
-        crate::timevarying::evaluate_fleet_timevarying(
-            &self.profiler,
-            schedule,
-            fleet,
-            mix,
-            trace,
-            autoscaler,
-        )
-    }
-
-    /// Evaluates one schedule as a fleet while a fault scenario plays
-    /// against it: replica crashes, stragglers, and preemptions from a
-    /// [`rago_serving_sim::faults::FaultSchedule`], priority-aware
-    /// admission control, and static/reactive/predictive scaling, scored
-    /// on *offered* attainment with per-disruption recovery metrics. See
-    /// [`crate::faulted::evaluate_fleet_faulted`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::faulted::evaluate_fleet_faulted`] errors.
-    pub fn evaluate_fleet_faulted(
-        &self,
-        schedule: &Schedule,
-        router: rago_schema::RouterPolicy,
-        mix: &rago_workloads::WorkloadMix,
-        trace: &rago_workloads::Trace,
-        scenario: &crate::faulted::FaultScenario,
-    ) -> Result<crate::faulted::FaultedEvaluation, RagoError> {
-        crate::faulted::evaluate_fleet_faulted(
-            &self.profiler,
-            schedule,
-            router,
-            mix,
-            trace,
-            scenario,
         )
     }
 
@@ -640,23 +612,6 @@ impl Rago {
         cache: &rago_cache::CacheConfig,
     ) -> Result<crate::dynamic::DynamicEvaluation, RagoError> {
         crate::cached::evaluate_schedule_cached(&self.profiler, schedule, trace, slo, cache)
-    }
-
-    /// Evaluates one schedule as a fleet with per-replica caches. See
-    /// [`crate::cached::evaluate_fleet_cached`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::cached::evaluate_fleet_cached`] errors.
-    pub fn evaluate_fleet_cached(
-        &self,
-        schedule: &Schedule,
-        fleet: &rago_schema::FleetConfig,
-        trace: &rago_workloads::Trace,
-        slo: &rago_schema::SloTarget,
-        cache: &rago_cache::CacheConfig,
-    ) -> Result<crate::dynamic::FleetEvaluation, RagoError> {
-        crate::cached::evaluate_fleet_cached(&self.profiler, schedule, fleet, trace, slo, cache)
     }
 
     /// Re-ranks a Pareto frontier by SLO goodput with caching enabled. See

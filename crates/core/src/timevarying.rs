@@ -1,57 +1,54 @@
-//! Time-varying, multi-tenant fleet evaluation: the scenario axis where
-//! traffic breathes and capacity follows it.
+//! Multi-tenant scoring: every tenant class against its own SLO.
 //!
-//! [`crate::dynamic::evaluate_fleet_dynamic`] scores a *fixed* fleet under
-//! one SLO. This module generalizes both sides: the trace may be
-//! class-tagged (a [`WorkloadMix`] of tenants, each with its own
-//! [`rago_schema::SloTarget`]) and generated by a time-varying
-//! [`rago_workloads::ArrivalProcess`] (diurnal, spike, piecewise), and the
-//! fleet may be elastic — a reactive
-//! [`rago_serving_sim::autoscaler::AutoscalerPolicy`] resizing it while the
-//! trace plays. The result scores every tenant against its *own* SLO and
-//! reports what the fleet *paid for* (replica-seconds and chip-seconds), so
-//! autoscaled and statically provisioned deployments compare on equal
-//! terms.
+//! A [`crate::scenario::Scenario`] scored by a [`WorkloadMix`] runs a
+//! class-tagged trace — often from a time-varying
+//! [`rago_workloads::ArrivalProcess`] (diurnal, spike, piecewise) — through
+//! a fleet that may be elastic, and scores each class against its own
+//! [`rago_schema::SloTarget`] on *offered* traffic. This module holds the
+//! per-class outcome, the scaling history an elastic run reports, and the
+//! per-class scoring itself.
 //!
-//! With one class, a constant rate, and no autoscaler, the evaluation
-//! reduces **bit-exactly** to [`crate::dynamic::evaluate_fleet_dynamic`] —
-//! the equivalence is pinned by `timevarying_matches_fleet_dynamic` below
-//! and property-tested in `rago-serving-sim/tests/proptest_tenant.rs`.
+//! With one class, a constant rate and a static fleet, the mix-scored
+//! evaluation reproduces the single-SLO one bit for bit
+//! (`timevarying_matches_fleet_dynamic_bit_exactly` below).
 
-use crate::dynamic::{pipeline_spec, reject_empty_trace};
-use crate::error::RagoError;
-use crate::profiler::StageProfiler;
-use crate::schedule::Schedule;
-use rago_schema::{FleetConfig, SloTarget};
-use rago_serving_sim::autoscaler::{AutoscalerPolicy, ReplicaLifetime, ScalingEvent};
-use rago_serving_sim::cluster::FleetReport;
-use rago_serving_sim::faults::{ChaosEngine, ScaleDriver};
-use rago_serving_sim::{MetricsMode, StreamingConfig};
-use rago_workloads::{Trace, WorkloadMix};
+use rago_schema::SloTarget;
+use rago_serving_sim::autoscaler::{ReplicaLifetime, ScalingEvent};
+use rago_serving_sim::engine::ServingReport;
+use rago_serving_sim::faults::{AdmissionConfig, FaultReport};
+use rago_workloads::WorkloadMix;
 use serde::{Deserialize, Serialize};
 
-/// One tenant class's outcome in a time-varying evaluation.
+/// One tenant class's outcome, scored on *offered* traffic.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClassOutcome {
     /// The workload-class tag (index into the mix).
     pub class: u32,
     /// The tenant name from the mix.
     pub name: String,
-    /// Requests of this class in the trace.
-    pub requests: usize,
+    /// Requests of this class offered to the fleet (completed + shed; lost
+    /// requests are counted fleet-wide in
+    /// [`FaultReport::failed`], not per class).
+    pub offered: usize,
+    /// Requests of this class that completed.
+    pub completed: usize,
+    /// Requests of this class shed by admission control.
+    pub shed: usize,
+    /// The admission priority of the class.
+    pub priority: u32,
     /// The SLO this tenant was scored against (its own, from the mix).
     pub slo: SloTarget,
-    /// Fraction of the class's requests meeting its SLO (1.0 when the
-    /// class sent no requests).
+    /// Fraction of *offered* requests meeting the class SLO (shed requests
+    /// count as misses; 1.0 when the class offered nothing).
     pub attainment: f64,
     /// Requests meeting the class SLO per second of the class's own serving
-    /// window, in requests per second.
+    /// window.
     pub goodput_rps: f64,
-    /// Whether the class's attainment reaches its SLO's required fraction.
+    /// Whether offered attainment reaches the SLO's required fraction.
     pub meets_slo: bool,
 }
 
-/// The scaling history of an autoscaled evaluation.
+/// The scaling history of an elastic or faulted evaluation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScalingSummary {
     /// Every scaling decision, in time order.
@@ -66,250 +63,79 @@ pub struct ScalingSummary {
     pub mean_provisioned: f64,
 }
 
-/// The outcome of one time-varying, multi-tenant fleet evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TimeVaryingEvaluation {
-    /// The merged fleet report (per-replica breakdowns, per-class metric
-    /// rows in `report.merged.per_class`, imbalance stats).
-    pub report: FleetReport,
-    /// Fraction of all requests meeting *their own class's* SLO.
-    pub attainment: f64,
-    /// Requests meeting their class SLO per second of fleet serving
-    /// duration.
-    pub goodput_rps: f64,
-    /// Whether every class reaches its own SLO's attainment requirement.
-    pub meets_slo: bool,
-    /// Per-tenant outcomes, by class id.
-    pub per_class: Vec<ClassOutcome>,
-    /// Scaling history, or `None` when the fleet was statically
-    /// provisioned.
-    pub scaling: Option<ScalingSummary>,
-    /// Integral of provisioned replicas over time, in replica-seconds. For
-    /// a static fleet this is `replicas × makespan`; for an autoscaled one
-    /// it is what the policy actually held provisioned.
-    pub replica_seconds: f64,
-    /// `replica_seconds × total XPUs per replica` — the chip-time the
-    /// deployment paid, the cost axis the `tenant_mix` bench compares.
-    pub chip_seconds: f64,
-}
-
-impl TimeVaryingEvaluation {
-    /// The tenants ranked by goodput, best first (ties break toward the
-    /// lower class id).
-    pub fn tenants_by_goodput(&self) -> Vec<ClassOutcome> {
-        let mut ranked = self.per_class.clone();
-        ranked.sort_by(|a, b| {
-            b.goodput_rps
-                .total_cmp(&a.goodput_rps)
-                .then(a.class.cmp(&b.class))
-        });
-        ranked
-    }
-
-    /// Chip-hours paid by the deployment.
-    pub fn chip_hours(&self) -> f64 {
-        self.chip_seconds / 3600.0
-    }
-}
-
-/// Evaluates `schedule`'s pipeline as a fleet under a (possibly
-/// class-tagged, possibly time-varying) `trace`, scoring every request
-/// against its own class's SLO from `mix`.
-///
-/// * With `autoscaler = None`, the fleet is `fleet.replicas` fixed replicas
-///   behind `fleet.router` — exactly the run of
-///   [`crate::dynamic::evaluate_fleet_dynamic`], bit for bit; this function
-///   adds the per-tenant scoring and the provisioning cost
-///   (`replicas × makespan` replica-seconds).
-/// * With `autoscaler = Some(policy)`, the fleet starts at
-///   `policy.min_replicas` and the reactive policy resizes it while the
-///   trace plays ([`ScaleDriver::Reactive`]); `fleet.replicas` is ignored and
-///   `fleet.router` routes over the currently routable replicas. The
-///   scaling history is returned in
-///   [`TimeVaryingEvaluation::scaling`].
-///
-/// Untagged traces (all requests class 0) work with any single-class mix —
-/// that is the homogeneous special case.
-///
-/// # Errors
-///
-/// Returns [`RagoError::InvalidConfig`] for invalid schedules or fleet
-/// configurations, an empty trace, a class tag outside the mix, or an
-/// invalid per-class SLO, and [`RagoError::CostModel`] when the schedule
-/// cannot be profiled.
-pub fn evaluate_fleet_timevarying(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &FleetConfig,
+/// Scores every class of `mix` on `report` through the engine's per-class
+/// SLO counts, with shed counts from `fault`; returns the met total and
+/// the outcomes. Every request belongs to exactly one class (tags are
+/// validated against the mix), so the classes partition the run.
+pub(crate) fn score_classes(
+    report: &ServingReport,
+    fault: &FaultReport,
     mix: &WorkloadMix,
-    trace: &Trace,
-    autoscaler: Option<&AutoscalerPolicy>,
-) -> Result<TimeVaryingEvaluation, RagoError> {
-    evaluate_fleet_timevarying_with(
-        profiler,
-        schedule,
-        fleet,
-        mix,
-        trace,
-        autoscaler,
-        &MetricsMode::Exact,
-    )
-}
-
-/// [`evaluate_fleet_timevarying`] with an explicit metrics mode. In
-/// `Streaming` mode the engines keep `O(histogram buckets)` state instead
-/// of per-request timelines, and the mix's per-tenant SLOs are injected
-/// into the streaming configuration automatically — the caller only chooses
-/// the histogram resolution (any class SLOs already present in the supplied
-/// configuration are replaced by the mix's; a run-level SLO is preserved
-/// for report-level queries).
-///
-/// # Errors
-///
-/// As [`evaluate_fleet_timevarying`].
-pub fn evaluate_fleet_timevarying_with(
-    profiler: &StageProfiler,
-    schedule: &Schedule,
-    fleet: &FleetConfig,
-    mix: &WorkloadMix,
-    trace: &Trace,
-    autoscaler: Option<&AutoscalerPolicy>,
-    mode: &MetricsMode,
-) -> Result<TimeVaryingEvaluation, RagoError> {
-    schedule.validate()?;
-    fleet.validate().map_err(|e| RagoError::InvalidConfig {
-        reason: e.to_string(),
-    })?;
-    reject_empty_trace(trace)?;
-    let num_classes = mix.num_classes() as u32;
-    if let Some(bad) = trace.requests.iter().find(|r| r.class >= num_classes) {
-        return Err(RagoError::InvalidConfig {
-            reason: format!(
-                "request {} carries class tag {} but the mix has only {num_classes} classes",
-                bad.id, bad.class
-            ),
-        });
-    }
-    for class in &mix.classes {
-        class.slo.validate().map_err(|e| RagoError::InvalidConfig {
-            reason: format!("class `{}`: {e}", class.name),
-        })?;
-    }
-
-    // In streaming mode the sink must know every SLO it will be asked
-    // about up front: re-root the caller's configuration on the mix's
-    // per-tenant targets so the per-class scoring below is answerable.
-    let mode = match mode {
-        MetricsMode::Exact => MetricsMode::Exact,
-        MetricsMode::Streaming(config) => {
-            let mut cfg = StreamingConfig::new(config.spec);
-            cfg.slo = config.slo;
-            for (i, class) in mix.classes.iter().enumerate() {
-                cfg = cfg.with_class_slo(i as u32, class.slo);
-            }
-            MetricsMode::Streaming(cfg)
-        }
-    };
-
-    let spec = pipeline_spec(profiler, schedule)?;
-    let (report, scaling, replica_seconds) = match autoscaler {
-        None => {
-            let report = ChaosEngine::new(
-                spec,
-                fleet.router,
-                ScaleDriver::Static {
-                    replicas: fleet.replicas,
-                },
-            )
-            .run_trace_with_mode(trace, &mode)
-            .fleet;
-            let replica_seconds = f64::from(fleet.replicas) * report.merged.metrics.makespan_s;
-            (report, None, replica_seconds)
-        }
-        Some(policy) => {
-            let run = ChaosEngine::new(spec, fleet.router, ScaleDriver::Reactive(*policy))
-                .run_trace_with_mode(trace, &mode);
-            let summary = ScalingSummary {
-                peak_provisioned: run.peak_provisioned,
-                min_provisioned: run.min_provisioned,
-                mean_provisioned: run.mean_provisioned(),
-                events: run.events,
-                lifetimes: run.lifetimes,
-            };
-            (run.fleet, Some(summary), run.replica_seconds)
-        }
-    };
-
-    // Score every tenant against its own SLO, through the engine's
-    // per-class accounting primitives — one definition of per-class SLO
-    // counting, attainment, and goodput across the workspace. Every request
-    // belongs to exactly one class (tags were validated against the mix
-    // above), so the class counts partition the run.
-    let counts: Vec<(usize, usize)> = mix
+    admission: Option<&AdmissionConfig>,
+) -> (usize, Vec<ClassOutcome>) {
+    let mut met_total = 0;
+    let per_class = mix
         .classes
         .iter()
         .enumerate()
-        .map(|(i, c)| report.merged.class_slo_counts(i as u32, &c.slo))
-        .collect();
-    let met_total: usize = counts.iter().map(|(met, _)| met).sum();
-    let per_class: Vec<ClassOutcome> = mix
-        .classes
-        .iter()
-        .zip(counts)
-        .enumerate()
-        .map(|(i, (c, (met, requests)))| {
+        .map(|(i, c)| {
             let class = i as u32;
-            let class_attainment = if requests == 0 {
+            let (met, completed) = report.class_slo_counts(class, &c.slo);
+            let shed = fault
+                .shed_by_class
+                .iter()
+                .find(|s| s.class == class)
+                .map_or(0, |s| s.shed);
+            let offered = completed + shed;
+            met_total += met;
+            let attainment = if offered == 0 {
                 1.0
             } else {
-                met as f64 / requests as f64
+                met as f64 / offered as f64
             };
+            // `ServingReport::class_goodput_rps` without its second count.
+            let window = report
+                .per_class
+                .iter()
+                .find(|r| r.class == class)
+                .map_or(0.0, |r| r.metrics.serving_duration_s);
             ClassOutcome {
                 class,
                 name: c.name.clone(),
-                requests,
+                offered,
+                completed,
+                shed,
+                priority: admission.map_or(c.priority, |a| a.priority_of(class)),
                 slo: c.slo,
-                attainment: class_attainment,
-                goodput_rps: report.merged.class_goodput_rps(class, &c.slo),
-                meets_slo: class_attainment >= c.slo.attainment,
+                attainment,
+                goodput_rps: if window > 0.0 {
+                    met as f64 / window
+                } else {
+                    0.0
+                },
+                meets_slo: attainment >= c.slo.attainment,
             }
         })
         .collect();
-    // `metrics.requests` rather than `timelines.len()`: identical for exact
-    // runs, and the only count a timeline-free streaming report has.
-    let total = report.merged.metrics.requests;
-    let attainment = met_total as f64 / total as f64;
-    let serving_duration = report.merged.metrics.serving_duration_s;
-    let goodput_rps = if serving_duration > 0.0 {
-        met_total as f64 / serving_duration
-    } else {
-        0.0
-    };
-    let meets_slo = per_class.iter().all(|c| c.meets_slo);
-    let chip_seconds = replica_seconds * f64::from(schedule.allocation.total_xpus());
-
-    Ok(TimeVaryingEvaluation {
-        report,
-        attainment,
-        goodput_rps,
-        meets_slo,
-        per_class,
-        scaling,
-        replica_seconds,
-        chip_seconds,
-    })
+    (met_total, per_class)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynamic::evaluate_fleet_dynamic;
+    use crate::error::RagoError;
     use crate::placement::PlacementPlan;
+    use crate::profiler::StageProfiler;
+    use crate::scenario::{evaluate_scenario, Evaluation, FleetEvaluation, Scenario};
+    use crate::schedule::Schedule;
     use crate::schedule::{BatchingPolicy, ResourceAllocation};
     use rago_hardware::ClusterSpec;
     use rago_schema::presets::{self, LlmSize};
-    use rago_schema::{RouterPolicy, SequenceProfile, Stage};
-    use rago_workloads::{ArrivalProcess, MixTraceSpec, RequestClass, TraceSpec};
+    use rago_schema::{FleetConfig, RouterPolicy, SequenceProfile, Stage};
+    use rago_serving_sim::autoscaler::AutoscalerPolicy;
+    use rago_serving_sim::faults::ScaleDriver;
+    use rago_serving_sim::{MetricsMode, StreamingConfig};
+    use rago_workloads::{ArrivalProcess, MixTraceSpec, RequestClass, Trace, TraceSpec};
 
     fn case1_profiler() -> StageProfiler {
         StageProfiler::new(
@@ -351,13 +177,27 @@ mod tests {
         ])
     }
 
+    /// A mix-scored scenario of `fleet`, autoscaled by `policy` when set.
+    fn mix_eval(
+        mix: &WorkloadMix,
+        trace: &Trace,
+        fleet: &FleetConfig,
+        policy: Option<AutoscalerPolicy>,
+        mode: MetricsMode,
+    ) -> Result<FleetEvaluation, RagoError> {
+        let mut scenario =
+            Scenario::new(case1_schedule(), fleet.clone(), trace, mix.clone()).with_mode(mode);
+        if let Some(policy) = policy {
+            scenario = scenario.with_driver(ScaleDriver::Reactive(policy));
+        }
+        evaluate_scenario(&case1_profiler(), &scenario).map(Evaluation::into_fleet)
+    }
+
     /// The acceptance-criterion equivalence: one class, constant rate, no
-    /// autoscaler — `evaluate_fleet_timevarying` reproduces
-    /// `evaluate_fleet_dynamic` bit-exactly.
+    /// autoscaler — scoring against a one-class mix reproduces scoring
+    /// against its SLO bit-exactly.
     #[test]
     fn timevarying_matches_fleet_dynamic_bit_exactly() {
-        let profiler = case1_profiler();
-        let schedule = case1_schedule();
         let slo = SloTarget::new(1.0, 0.1);
         let profile = SequenceProfile::paper_default().with_decode_tokens(32);
         let trace = TraceSpec {
@@ -370,23 +210,28 @@ mod tests {
         .generate();
         let fleet = FleetConfig::new(3, RouterPolicy::LeastOutstanding);
         let mix = WorkloadMix::single("all", profile, 0.2, slo);
-        let tv =
-            evaluate_fleet_timevarying(&profiler, &schedule, &fleet, &mix, &trace, None).unwrap();
-        let dynamic = evaluate_fleet_dynamic(&profiler, &schedule, &fleet, &trace, &slo).unwrap();
+        let tv = mix_eval(&mix, &trace, &fleet, None, MetricsMode::Exact).unwrap();
+        let scenario = Scenario::new(case1_schedule(), fleet, &trace, slo);
+        let dynamic = evaluate_scenario(&case1_profiler(), &scenario)
+            .unwrap()
+            .into_fleet();
         assert_eq!(tv.report, dynamic.report);
         assert_eq!(tv.attainment, dynamic.attainment);
         assert_eq!(tv.goodput_rps, dynamic.goodput_rps);
+        assert_eq!(tv.replica_seconds, dynamic.replica_seconds);
         assert!(tv.scaling.is_none());
+        assert!(dynamic.per_class.is_empty());
         assert_eq!(tv.per_class.len(), 1);
-        assert_eq!(tv.per_class[0].requests, 90);
-        assert!((tv.replica_seconds - 3.0 * tv.report.merged.metrics.makespan_s).abs() < 1e-12);
+        assert_eq!(tv.per_class[0].offered, 90);
+        assert_eq!(
+            tv.replica_seconds,
+            3.0 * tv.report.merged.metrics.makespan_s
+        );
         assert!(tv.chip_seconds > tv.replica_seconds); // 16 XPUs per replica
     }
 
     #[test]
     fn tenants_are_scored_against_their_own_slos() {
-        let profiler = case1_profiler();
-        let schedule = case1_schedule();
         let mix = two_class_mix();
         let trace = MixTraceSpec {
             num_requests: 120,
@@ -396,16 +241,15 @@ mod tests {
         }
         .generate();
         let fleet = FleetConfig::new(2, RouterPolicy::LeastOutstanding);
-        let tv =
-            evaluate_fleet_timevarying(&profiler, &schedule, &fleet, &mix, &trace, None).unwrap();
+        let tv = mix_eval(&mix, &trace, &fleet, None, MetricsMode::Exact).unwrap();
         assert_eq!(tv.per_class.len(), 2);
-        let total: usize = tv.per_class.iter().map(|c| c.requests).sum();
+        let total: usize = tv.per_class.iter().map(|c| c.offered).sum();
         assert_eq!(total, 120);
         // The overall attainment is the request-weighted mix of the classes.
         let weighted: f64 = tv
             .per_class
             .iter()
-            .map(|c| c.attainment * c.requests as f64)
+            .map(|c| c.attainment * c.offered as f64)
             .sum::<f64>()
             / 120.0;
         assert!((weighted - tv.attainment).abs() < 1e-12);
@@ -416,13 +260,12 @@ mod tests {
         }
         // meets_slo is the conjunction over classes.
         assert_eq!(tv.meets_slo, tv.per_class.iter().all(|c| c.meets_slo));
+        // Without admission, priorities come from the mix.
+        assert!(tv.per_class.iter().all(|c| c.priority == 0 && c.shed == 0));
     }
 
     #[test]
     fn autoscaled_diurnal_run_saves_chip_time_at_matching_attainment() {
-        use rago_serving_sim::autoscaler::AutoscalerPolicy;
-        let profiler = case1_profiler();
-        let schedule = case1_schedule();
         let profile = SequenceProfile::paper_default().with_decode_tokens(32);
         let slo = SloTarget::new(2.0, 0.1);
         let mix = WorkloadMix::single("all", profile, 0.1, slo);
@@ -439,22 +282,19 @@ mod tests {
         }
         .generate();
         let static_fleet = FleetConfig::new(4, RouterPolicy::LeastOutstanding);
-        let fixed =
-            evaluate_fleet_timevarying(&profiler, &schedule, &static_fleet, &mix, &trace, None)
-                .unwrap();
+        let fixed = mix_eval(&mix, &trace, &static_fleet, None, MetricsMode::Exact).unwrap();
         let policy = AutoscalerPolicy::new(1, 5)
             .with_evaluation_interval(0.5)
             .with_scale_out_queue_depth(1.0)
             .with_scale_in_outstanding(2.0)
             .with_cooldown(2.0)
             .with_warmup(0.5);
-        let elastic = evaluate_fleet_timevarying(
-            &profiler,
-            &schedule,
-            &static_fleet,
+        let elastic = mix_eval(
             &mix,
             &trace,
-            Some(&policy),
+            &static_fleet,
+            Some(policy),
+            MetricsMode::Exact,
         )
         .unwrap();
         let scaling = elastic.scaling.as_ref().expect("autoscaled run");
@@ -484,8 +324,6 @@ mod tests {
     fn streaming_timevarying_matches_exact_tenant_scores() {
         use rago_schema::HistogramSpec;
 
-        let profiler = case1_profiler();
-        let schedule = case1_schedule();
         let mix = two_class_mix();
         let trace = MixTraceSpec {
             num_requests: 120,
@@ -504,35 +342,13 @@ mod tests {
                     .with_scale_out_queue_depth(1.0),
             ),
         ] {
-            let exact = evaluate_fleet_timevarying(
-                &profiler,
-                &schedule,
-                &fleet,
-                &mix,
-                &trace,
-                policy.as_ref(),
-            )
-            .unwrap();
-            let streamed = evaluate_fleet_timevarying_with(
-                &profiler,
-                &schedule,
-                &fleet,
-                &mix,
-                &trace,
-                policy.as_ref(),
-                &mode,
-            )
-            .unwrap();
+            let exact = mix_eval(&mix, &trace, &fleet, policy, MetricsMode::Exact).unwrap();
+            let streamed = mix_eval(&mix, &trace, &fleet, policy, mode.clone()).unwrap();
             assert_eq!(streamed.attainment, exact.attainment);
             assert_eq!(streamed.goodput_rps, exact.goodput_rps);
             assert_eq!(streamed.meets_slo, exact.meets_slo);
             assert_eq!(streamed.replica_seconds, exact.replica_seconds);
-            assert_eq!(streamed.per_class.len(), exact.per_class.len());
-            for (s, e) in streamed.per_class.iter().zip(&exact.per_class) {
-                assert_eq!(s.requests, e.requests, "class {} request count", s.class);
-                assert_eq!(s.attainment, e.attainment, "class {} attainment", s.class);
-                assert_eq!(s.goodput_rps, e.goodput_rps, "class {} goodput", s.class);
-            }
+            assert_eq!(streamed.per_class, exact.per_class);
             assert!(streamed.report.merged.timelines.is_empty());
             assert!(streamed.report.merged.retained_bytes() < exact.report.merged.retained_bytes());
         }
@@ -540,14 +356,12 @@ mod tests {
 
     #[test]
     fn invalid_inputs_are_rejected() {
-        let profiler = case1_profiler();
-        let schedule = case1_schedule();
         let mix = two_class_mix();
         let fleet = FleetConfig::new(1, RouterPolicy::RoundRobin);
         // Empty trace.
         let empty = Trace { requests: vec![] };
         assert!(matches!(
-            evaluate_fleet_timevarying(&profiler, &schedule, &fleet, &mix, &empty, None),
+            mix_eval(&mix, &empty, &fleet, None, MetricsMode::Exact),
             Err(RagoError::InvalidConfig { .. })
         ));
         // A class tag outside the mix.
@@ -560,7 +374,21 @@ mod tests {
         .generate();
         trace.requests[3].class = 9;
         assert!(matches!(
-            evaluate_fleet_timevarying(&profiler, &schedule, &fleet, &mix, &trace, None),
+            mix_eval(&mix, &trace, &fleet, None, MetricsMode::Exact),
+            Err(RagoError::InvalidConfig { .. })
+        ));
+        // A split fleet cannot score per class: it is rejected, not run as
+        // five collocated replicas.
+        let trace = MixTraceSpec {
+            num_requests: 10,
+            mix: mix.clone(),
+            arrival: ArrivalProcess::Poisson { rate_rps: 10.0 },
+            seed: 1,
+        }
+        .generate();
+        let split = FleetConfig::split(2, 3, RouterPolicy::RoundRobin);
+        assert!(matches!(
+            mix_eval(&mix, &trace, &split, None, MetricsMode::Exact),
             Err(RagoError::InvalidConfig { .. })
         ));
     }

@@ -25,7 +25,7 @@
 //! [`ContentSpec`]: rago::workloads::ContentSpec
 
 use rago::cache::{CacheConfig, EvictionPolicy, PrefixKvCacheConfig, RetrievalCacheConfig};
-use rago::core::{CapacityOptions, Rago, SearchOptions};
+use rago::core::{CapacityOptions, Rago, Scenario, SearchOptions};
 use rago::hardware::ClusterSpec;
 use rago::schema::{presets, FleetConfig, RouterPolicy, SequenceProfile, SloTarget};
 use rago::workloads::{ArrivalProcess, ContentSpec, PopularityModel, TraceSpec};
@@ -157,15 +157,13 @@ fn main() {
         RouterPolicy::PrefixHash,
         RouterPolicy::CacheAffinity,
     ] {
+        let fleet = FleetConfig::new(fleet_size, router);
+        let scenario =
+            Scenario::new(best.schedule.clone(), fleet, &peak_trace, slo).with_cache(cache);
         let eval = rago
-            .evaluate_fleet_cached(
-                &best.schedule,
-                &FleetConfig::new(fleet_size, router),
-                &peak_trace,
-                &slo,
-                &cache,
-            )
-            .expect("fleet evaluation succeeds");
+            .evaluate_scenario(&scenario)
+            .expect("fleet evaluation succeeds")
+            .into_fleet();
         println!(
             "{:>20}: prefix hits {:5.1} %, attainment {:5.1} %, goodput {:7.1} rps",
             router.to_string(),

@@ -19,10 +19,10 @@
 //! cargo run --release --example chaos_recovery
 //! ```
 
-use rago::core::faulted::{scaling_plan_from_profile, FaultScenario};
-use rago::core::{CapacityOptions, Rago, SearchOptions};
+use rago::core::faulted::scaling_plan_from_profile;
+use rago::core::{CapacityOptions, Rago, Scenario, SearchOptions};
 use rago::hardware::ClusterSpec;
-use rago::schema::{presets, RouterPolicy, SequenceProfile, SloTarget};
+use rago::schema::{presets, FleetConfig, RouterPolicy, SequenceProfile, SloTarget};
 use rago::serving_sim::autoscaler::AutoscalerPolicy;
 use rago::serving_sim::faults::{FaultEvent, FaultSchedule, PredictivePolicy, ScaleDriver};
 use rago::workloads::{ArrivalProcess, MixTraceSpec, RateSegment, WorkloadMix};
@@ -108,32 +108,22 @@ fn main() {
         .with_scale_in_outstanding(10.0)
         .with_cooldown(1.0)
         .with_warmup(warmup_s);
-    let scenario = |driver: ScaleDriver| {
-        FaultScenario::new(driver)
+    // The driver owns the replica count; the fleet supplies the router.
+    let fleet = FleetConfig::new(1, RouterPolicy::LeastOutstanding);
+    let run = |driver: ScaleDriver| {
+        let scenario = Scenario::new(best.schedule.clone(), fleet.clone(), &trace, mix.clone())
+            .with_driver(driver)
             .with_faults(faults.clone())
             .with_recovery_slo(slo)
-            .with_recovery_window(window_s)
+            .with_recovery_window(window_s);
+        rago.evaluate_scenario(&scenario)
+            .expect("the faulted run succeeds")
+            .into_fleet()
     };
-    let reactive = rago
-        .evaluate_fleet_faulted(
-            &best.schedule,
-            RouterPolicy::LeastOutstanding,
-            &mix,
-            &trace,
-            &scenario(ScaleDriver::Reactive(reactive_policy)),
-        )
-        .expect("reactive run succeeds");
-    let predictive = rago
-        .evaluate_fleet_faulted(
-            &best.schedule,
-            RouterPolicy::LeastOutstanding,
-            &mix,
-            &trace,
-            &scenario(ScaleDriver::Predictive(PredictivePolicy::new(
-                plan, warmup_s,
-            ))),
-        )
-        .expect("predictive run succeeds");
+    let reactive = run(ScaleDriver::Reactive(reactive_policy));
+    let predictive = run(ScaleDriver::Predictive(PredictivePolicy::new(
+        plan, warmup_s,
+    )));
 
     // Step 4: the plot-ready recovery timeline — windowed attainment for
     // both runs on one time axis (paste into any plotting tool).
@@ -156,9 +146,9 @@ fn main() {
              {} retried, {} shed, {} failed",
             eval.attainment,
             eval.chip_hours(),
-            eval.chaos.fault.retried,
-            eval.chaos.fault.shed,
-            eval.chaos.fault.failed
+            eval.fault.retried,
+            eval.fault.shed,
+            eval.fault.failed
         );
         for r in &eval.recovery {
             match r.reattainment_s {

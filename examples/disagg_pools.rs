@@ -164,8 +164,9 @@ fn main() {
         InterconnectSpec::torus_3d(),
         InterconnectSpec::datacenter_network(),
     ];
-    let ranked =
-        rago.rank_frontier_by_goodput_disagg(&frontier, &trace, &slo, &splits, &interconnects);
+    let ranked = rago
+        .rank_frontier_by_goodput_disagg(&frontier, &trace, &slo, &splits, &interconnects)
+        .expect("every split and interconnect is valid");
     println!("\njoint (split, interconnect) ranking by goodput per chip:");
     for (_, choice, eval) in ranked.iter().take(4) {
         println!(

@@ -12,7 +12,7 @@
 //!    a piecewise approximation of the diurnal rate — the provisioning
 //!    lower bound;
 //! 4. run the trace through a **static peak-sized fleet** and through the
-//!    **autoscaled fleet** (`evaluate_fleet_timevarying` with an
+//!    **autoscaled fleet** (the same mix-scored [`Scenario`] driven by an
 //!    [`AutoscalerPolicy`]), and compare per-tenant SLO attainment and
 //!    chip-hours.
 //!
@@ -20,13 +20,15 @@
 //! cargo run --release --example diurnal_autoscale
 //! ```
 //!
+//! [`Scenario`]: rago::core::Scenario
 //! [`WorkloadMix`]: rago::workloads::WorkloadMix
 //! [`AutoscalerPolicy`]: rago::serving_sim::autoscaler::AutoscalerPolicy
 
-use rago::core::{CapacityOptions, Rago, SearchOptions};
+use rago::core::{CapacityOptions, Rago, Scenario, SearchOptions};
 use rago::hardware::ClusterSpec;
 use rago::schema::{presets, FleetConfig, RouterPolicy, SequenceProfile, SloTarget};
 use rago::serving_sim::autoscaler::AutoscalerPolicy;
+use rago::serving_sim::faults::ScaleDriver;
 use rago::workloads::{ArrivalProcess, MixTraceSpec, RateSegment, RequestClass, WorkloadMix};
 
 fn main() {
@@ -123,9 +125,11 @@ fn main() {
     // trace.
     let static_replicas = planned.peak_replicas;
     let fleet = FleetConfig::new(static_replicas, RouterPolicy::LeastOutstanding);
+    let scenario = Scenario::new(best.schedule.clone(), fleet, &trace, mix.clone());
     let fixed = rago
-        .evaluate_fleet_timevarying(&best.schedule, &fleet, &mix, &trace, None)
-        .expect("static evaluation succeeds");
+        .evaluate_scenario(&scenario)
+        .expect("static evaluation succeeds")
+        .into_fleet();
     let policy = AutoscalerPolicy::new(1, static_replicas)
         .with_evaluation_interval(0.25)
         .with_scale_out_queue_depth(2.0)
@@ -133,8 +137,9 @@ fn main() {
         .with_cooldown(1.0)
         .with_warmup(0.5);
     let elastic = rago
-        .evaluate_fleet_timevarying(&best.schedule, &fleet, &mix, &trace, Some(&policy))
-        .expect("autoscaled evaluation succeeds");
+        .evaluate_scenario(&scenario.with_driver(ScaleDriver::Reactive(policy)))
+        .expect("autoscaled evaluation succeeds")
+        .into_fleet();
     let scaling = elastic.scaling.as_ref().expect("autoscaled run");
 
     println!("\nstatic fleet ({static_replicas} replicas):");

@@ -26,8 +26,8 @@
 //!   inequalities.
 //! * `timevarying.json` — the PR 4 time-varying path (pinned optimizer /
 //!   engine / fleet / paper-claims left this one open): a seeded two-tenant
-//!   diurnal trace through `evaluate_fleet_timevarying`, static and
-//!   autoscaled, with per-tenant outcomes and the provisioning cost.
+//!   diurnal trace through a mix-scored `Scenario`, static and autoscaled,
+//!   with per-tenant outcomes and the provisioning cost.
 //! * `cache_run.json` — the PR 5 cache subsystem: a seeded Zipfian
 //!   content-tagged trace through `evaluate_schedule_cached`, pinning the
 //!   hit/miss/eviction counters, tokens saved, and the cached TTFT.
@@ -63,7 +63,7 @@
 //! and commit the diff — the point is that the drift shows up in review.
 
 use rago::cache::{CacheConfig, EvictionPolicy, PrefixKvCacheConfig, RetrievalCacheConfig};
-use rago::core::{Rago, SearchOptions};
+use rago::core::{Rago, Scenario, SearchOptions};
 use rago::hardware::ClusterSpec;
 use rago::schema::presets::{self, LlmSize};
 use rago::schema::{
@@ -314,7 +314,7 @@ fn golden_fleet_knees() {
 #[test]
 fn golden_timevarying() {
     // The PR 4 time-varying path: a two-tenant diurnal trace through
-    // `evaluate_fleet_timevarying`, statically provisioned and autoscaled.
+    // a mix-scored `Scenario`, statically provisioned and autoscaled.
     let rago = Rago::new(
         presets::case1_hyperscale(LlmSize::B8, 1),
         ClusterSpec::paper_default(),
@@ -362,10 +362,15 @@ fn golden_timevarying() {
     let mut out = String::from("{\n  \"bench\": \"golden/timevarying\",\n");
     let _ = writeln!(out, "  \"schedule\": \"{}\",", best.schedule.describe());
     let mut variant_rows = Vec::new();
-    for (name, autoscaler) in [("static", None), ("autoscaled", Some(&policy))] {
+    let scenario = Scenario::new(best.schedule.clone(), fleet, &trace, mix.clone());
+    for (name, driver) in [
+        ("static", scenario.driver.clone()),
+        ("autoscaled", ScaleDriver::Reactive(policy)),
+    ] {
         let eval = rago
-            .evaluate_fleet_timevarying(&best.schedule, &fleet, &mix, &trace, autoscaler)
-            .expect("time-varying evaluation succeeds");
+            .evaluate_scenario(&scenario.clone().with_driver(driver))
+            .expect("time-varying evaluation succeeds")
+            .into_fleet();
         let class_rows: Vec<String> = eval
             .per_class
             .iter()
@@ -375,7 +380,7 @@ fn golden_timevarying() {
                      \"attainment\": {}, \"goodput_rps\": {}, \"meets_slo\": {}}}",
                     c.class,
                     c.name,
-                    c.requests,
+                    c.offered,
                     f(c.attainment),
                     f(c.goodput_rps),
                     c.meets_slo,
@@ -769,15 +774,13 @@ fn golden_chaos_degenerate_reproduces_engine_metrics() {
     );
 }
 
-/// The elastic degenerate pin: the faultless reactive chaos evaluation
-/// under the `timevarying.json` scenario is bit-identical to the
-/// autoscaled time-varying evaluation the golden was rendered from. Both
-/// evaluators drive the one fleet loop, so this pins their two scoring
-/// paths (offered vs completed accounting) against each other.
+/// The elastic degenerate pin: the faultless reactive scenario behind the
+/// autoscaled `timevarying.json` row scores offered traffic exactly as
+/// completion-based accounting reads its own report (nothing is shed or
+/// lost), and its streaming run reproduces the exact scores bit for bit.
 #[test]
 fn golden_chaos_degenerate_matches_autoscaler_scenario() {
-    use rago::core::faulted::FaultScenario;
-    use rago::serving_sim::faults::ScaleDriver as Driver;
+    use rago::serving_sim::StreamingConfig;
     let rago = Rago::new(
         presets::case1_hyperscale(LlmSize::B8, 1),
         ClusterSpec::paper_default(),
@@ -821,25 +824,41 @@ fn golden_chaos_degenerate_matches_autoscaler_scenario() {
         .with_cooldown(1.0)
         .with_warmup(0.5);
     let fleet = FleetConfig::new(3, RouterPolicy::LeastOutstanding);
-    let baseline = rago
-        .evaluate_fleet_timevarying(&best.schedule, &fleet, &mix, &trace, Some(&policy))
-        .expect("time-varying evaluation succeeds");
-    let chaos = rago
-        .evaluate_fleet_faulted(
-            &best.schedule,
-            RouterPolicy::LeastOutstanding,
-            &mix,
-            &trace,
-            &FaultScenario::new(Driver::Reactive(policy)),
-        )
-        .expect("faulted evaluation succeeds");
-    assert_eq!(chaos.chaos.fleet, baseline.report);
-    assert_eq!(chaos.replica_seconds, baseline.replica_seconds);
-    assert_eq!(chaos.attainment, baseline.attainment);
-    assert_eq!(chaos.goodput_rps, baseline.goodput_rps);
-    let scaling = baseline.scaling.expect("autoscaled run has history");
-    assert_eq!(chaos.scaling.events, scaling.events);
-    assert_eq!(chaos.scaling.lifetimes, scaling.lifetimes);
+    let scenario = Scenario::new(best.schedule.clone(), fleet, &trace, mix.clone())
+        .with_driver(ScaleDriver::Reactive(policy));
+    let run = |scenario: &Scenario<'_>| {
+        rago.evaluate_scenario(scenario)
+            .expect("faultless evaluation succeeds")
+            .into_fleet()
+    };
+    let exact = run(&scenario);
+    let merged = &exact.report.merged;
+    assert_eq!(exact.fault.shed + exact.fault.failed, 0);
+    assert_eq!(exact.fault.completed, trace.requests.len());
+    for c in &exact.per_class {
+        assert_eq!(c.offered, c.completed);
+        assert_eq!(c.attainment, merged.class_attainment(c.class, &c.slo));
+        assert_eq!(c.goodput_rps, merged.class_goodput_rps(c.class, &c.slo));
+    }
+    let met: f64 = exact
+        .per_class
+        .iter()
+        .map(|c| c.attainment * c.offered as f64)
+        .sum();
+    assert!((met / trace.requests.len() as f64 - exact.attainment).abs() < 1e-12);
+    let scaling = exact.scaling.as_ref().expect("autoscaled run has history");
+    assert!(!scaling.events.is_empty());
+
+    let streaming = MetricsMode::Streaming(StreamingConfig::new(Default::default()));
+    let streamed = run(&scenario.with_mode(streaming));
+    assert_eq!(streamed.attainment.to_bits(), exact.attainment.to_bits());
+    assert_eq!(streamed.goodput_rps.to_bits(), exact.goodput_rps.to_bits());
+    assert_eq!(
+        streamed.replica_seconds.to_bits(),
+        exact.replica_seconds.to_bits()
+    );
+    assert_eq!(streamed.per_class, exact.per_class);
+    assert_eq!(streamed.scaling, exact.scaling);
 }
 
 /// Renders one pool's side of a disaggregated run: router, load imbalance,

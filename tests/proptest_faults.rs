@@ -17,14 +17,28 @@
 //! 4. **Flat predictive plans are static fleets** — a
 //!    [`ScalingPlan::flat`] predictive driver reproduces the static driver
 //!    bit-exactly for any replica count.
+//! 5. **Bad scenarios are errors, not panics** — NaN, zero, negative,
+//!    infinite and huge values in a `rago-core` `Scenario`'s driver,
+//!    admission, recovery-window and pool-crash fields come back from
+//!    `evaluate_scenario` as `InvalidConfig` whenever they are out of range,
+//!    and never reach an engine `assert!`.
 
 use proptest::prelude::*;
-use rago::schema::RouterPolicy;
+use rago::core::{
+    evaluate_scenario, BatchingPolicy, PlacementPlan, RagoError, ResourceAllocation, Scenario,
+    Schedule, StageProfiler,
+};
+use rago::hardware::ClusterSpec;
+use rago::schema::presets::{self, LlmSize};
+use rago::schema::{FleetConfig, PoolRole, RouterPolicy, SequenceProfile, SloTarget, Stage};
+use rago::serving_sim::autoscaler::AutoscalerPolicy;
 use rago::serving_sim::engine::{DecodeSpec, EngineRequest, LatencyTable, PipelineSpec, StageSpec};
 use rago::serving_sim::faults::{
-    AdmissionConfig, ChaosEngine, CrashPolicy, FaultEvent, FaultSchedule, PredictivePolicy,
-    ScaleDriver, ScalingPlan,
+    AdmissionConfig, ChaosEngine, CrashPolicy, FaultEvent, FaultSchedule, PlanStep,
+    PredictivePolicy, ScaleDriver, ScalingPlan,
 };
+use rago::serving_sim::pools::PoolCrash;
+use rago::workloads::{ArrivalProcess, TraceSpec};
 
 fn pipeline(stage_latency: f64, batch: u32) -> PipelineSpec {
     PipelineSpec::new(
@@ -223,5 +237,144 @@ proptest! {
         prop_assert_eq!(&predictive.fleet, &static_run.fleet);
         prop_assert_eq!(predictive.replica_seconds, static_run.replica_seconds);
         prop_assert!(predictive.events.is_empty());
+    }
+
+    /// One degenerate value in every scenario field: out-of-range values
+    /// are `InvalidConfig`, in-range ones (zero cooldowns, huge but finite
+    /// delays) evaluate, and nothing panics.
+    #[test]
+    fn degenerate_scenario_fields_are_errors_not_panics(pick in 0usize..5) {
+        let x = [f64::NAN, 0.0, -1.0, f64::INFINITY, 1e300][pick];
+        let n = [0u32, 4097, u32::MAX, 5, 1][pick];
+        let non_negative = x.is_finite() && x >= 0.0;
+        let positive = non_negative && x > 0.0;
+        let profiler = StageProfiler::new(
+            presets::case1_hyperscale(LlmSize::B8, 1),
+            ClusterSpec::paper_default(),
+        );
+        let schedule = Schedule {
+            placement: PlacementPlan {
+                predecode_groups: vec![vec![Stage::Prefix]],
+            },
+            allocation: ResourceAllocation {
+                group_xpus: vec![8],
+                decode_xpus: 8,
+                retrieval_servers: 32,
+            },
+            batching: BatchingPolicy::new(8, 64),
+        };
+        let trace = TraceSpec {
+            num_requests: 12,
+            profile: SequenceProfile::paper_default().with_decode_tokens(8),
+            arrival: ArrivalProcess::Poisson { rate_rps: 20.0 },
+            length_jitter: 0.0,
+            seed: 3,
+        }
+        .generate();
+        let slo = SloTarget::new(1.0, 0.1);
+        let flat = FleetConfig::new(2, RouterPolicy::LeastOutstanding);
+        for field in 0..16 {
+            let mut scenario = Scenario::new(schedule.clone(), flat.clone(), &trace, slo);
+            let mut policy = AutoscalerPolicy::new(1, 4);
+            let mut plan = ScalingPlan::new(1, vec![PlanStep { at_s: 0.5, replicas: 2 }]);
+            let mut crash = PoolCrash {
+                pool: PoolRole::Prefill,
+                replica: 0,
+                at_s: 0.1,
+                restart_delay_s: Some(0.2),
+            };
+            let mut warmup = 0.5;
+            let valid = match field {
+                0 => {
+                    scenario.recovery_window_s = x;
+                    positive
+                }
+                1 | 2 => {
+                    let mut a = AdmissionConfig::new(1.0, 1.0);
+                    if field == 1 {
+                        a.shed_queue_depth = x;
+                    } else {
+                        a.depth_per_priority = x;
+                    }
+                    scenario.admission = Some(a);
+                    non_negative
+                }
+                3 => {
+                    policy.evaluation_interval_s = x;
+                    positive
+                }
+                4 => {
+                    policy.scale_out_queue_depth = x;
+                    non_negative
+                }
+                5 => {
+                    policy.scale_in_outstanding = x;
+                    non_negative
+                }
+                6 => {
+                    policy.cooldown_s = x;
+                    non_negative
+                }
+                7 => {
+                    policy.warmup_s = x;
+                    non_negative
+                }
+                8 => {
+                    policy = policy.with_attainment_trigger(slo, 0.5);
+                    policy.attainment_trigger.as_mut().unwrap().floor = x;
+                    x > 0.0 && x <= 1.0
+                }
+                9 => {
+                    warmup = x;
+                    non_negative
+                }
+                10 => {
+                    plan.steps[0].at_s = x;
+                    non_negative
+                }
+                11 => {
+                    crash.at_s = x;
+                    non_negative
+                }
+                12 => {
+                    crash.restart_delay_s = Some(x);
+                    non_negative
+                }
+                13 => {
+                    scenario.fleet.replicas = n;
+                    scenario.driver = ScaleDriver::Static { replicas: n };
+                    n == 1 || n == 5
+                }
+                14 => {
+                    policy.min_replicas = n;
+                    n == 1
+                }
+                _ => {
+                    plan.initial = n;
+                    n == 1 || n == 5
+                }
+            };
+            match field {
+                3..=8 | 14 => scenario.driver = ScaleDriver::Reactive(policy),
+                9 | 10 | 15 => {
+                    scenario.driver = ScaleDriver::Predictive(PredictivePolicy { plan, warmup_s: warmup })
+                }
+                11 | 12 => {
+                    scenario.fleet = FleetConfig::split(2, 1, RouterPolicy::LeastOutstanding);
+                    scenario.driver = ScaleDriver::Static { replicas: 3 };
+                    scenario.pool_crashes = vec![crash];
+                }
+                _ => {}
+            }
+            let result = evaluate_scenario(&profiler, &scenario);
+            if valid {
+                prop_assert!(result.is_ok(), "field {field}, value {x} / {n}: {result:?}");
+            } else {
+                prop_assert!(
+                    matches!(result, Err(RagoError::InvalidConfig { .. })),
+                    "field {field} value {x} / {n} was not rejected"
+                );
+            }
+        }
     }
 }
